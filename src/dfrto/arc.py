@@ -1,0 +1,169 @@
+"""Exact propagation of the plant along one constant-control arc.
+
+Let x = ln c1 and v = ln c2.  Under a constant water-addition ratio u < 1,
+dv/dx = -k with k = u/(1-u), so v is affine in x, the flux q = p1 - p2*x - p3*v
+is linear in x, and dt = m*e^(-x) dx / ((1-u)*q).  From (t0, x0, v0), with
+Y = x - x0, q0 = q(x0) and r = (p2 - p3*k)/q0,
+
+    t = t0 + T*F(Y, r),   T = m*e^(-x0) / ((1-u)*q0),
+    F(Y, r) = integral_0^Y e^(-y) / (1 - r*y) dy,
+
+an exponential integral for r != 0 and 1 - e^(-Y) for r = 0 (the flux is
+pinned, which is what the true singular control does).  The ratio c1/c2 is
+e^(x-v), so the ratio event is where Y reaches (1-u)*(ln rf - (x0 - v0)).
+
+At u = 1, c1 is frozen, c2 washes out, and the flux grows as q0*e^(beta*s)
+with beta = p3*c1/m after a time s, so states and event times are explicit.
+
+Every routine broadcasts over numpy arrays: one arc per parameter row
+(realized_batch_times) or one arc at many sample times (the adaptive loop).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.special import expi, exprel
+
+_Q_FLOOR = 1e-12          # flux at or below this counts as stalled
+_U_FROZEN = 1.0 - 1e-12   # controls at or above this run the u = 1 arc
+# from |z| = 500 on, e^(-z)*Ei(z) is its asymptotic series sum_n n!/z^n, whose
+# terms fall below 1e-19 by n = 9; below that, Ei itself neither over- nor
+# underflows
+_ASYMPTOTIC_Z = 500.0
+_ASYMPTOTIC_TERMS = 9
+
+
+def _scaled_expi(z: np.ndarray) -> np.ndarray:
+    """e^(-z)*Ei(z) for z != 0; finite for every |z| up to infinity."""
+    z = np.asarray(z, dtype=float)
+    big = np.abs(z) >= _ASYMPTOTIC_Z
+    if not big.any():
+        return np.exp(-z) * expi(z)
+    s = np.ones(z.shape)
+    for n in range(_ASYMPTOTIC_TERMS, 0, -1):
+        s = 1.0 + n * s / z
+    if big.all():
+        return s / z
+    return np.where(big, s / z, np.exp(-z) * expi(z))
+
+
+class _ArcIntegral:
+    """Y -> F(Y, r) for fixed r, with the parts that depend only on r kept.
+
+    F(Y, 0) = 1 - e^(-Y); every other r uses the exponential-integral form.
+    """
+
+    def __init__(self, r):
+        self.r = np.asarray(r, dtype=float)
+        self._g0 = None
+
+    def __call__(self, Y) -> np.ndarray:
+        Y = np.asarray(Y, dtype=float)
+        r = self.r
+        if r.ndim == 0 and r == 0.0:
+            return -np.expm1(-Y)
+        if self._g0 is None:
+            self._z0 = 1.0 / r
+            self._g0 = _scaled_expi(self._z0)
+        ei = (self._g0 - np.exp(-Y) * _scaled_expi(self._z0 - Y)) / r
+        return ei if r.ndim == 0 else np.where(r == 0.0, -np.expm1(-Y), ei)
+
+    def inverse(self, tau, y_hi) -> np.ndarray:
+        """Y in (0, y_hi) with F(Y, r) = tau, elementwise (safeguarded Halley).
+
+        F(y_hi, r) must be at least tau; F increases with Y.
+        """
+        tau = np.asarray(tau, dtype=float)
+        r = self.r
+        lo = np.zeros(np.broadcast(tau, r, y_hi).shape)
+        hi = lo + y_hi
+        y0 = -np.log1p(-tau)                  # the r = 0 solution
+        y = np.where(tau <= 0.0, 0.0,
+                     np.where(np.isfinite(y0) & (y0 > 0.0) & (y0 < hi), y0, 0.5 * hi))
+        for _ in range(100):
+            f = self(y) - tau
+            hi = np.where(f > 0.0, y, hi)
+            lo = np.where(f < 0.0, y, lo)
+            # F' = e^-Y/(1 - rY) and F''/F' = r/(1 - rY) - 1
+            g = 1.0 - r * y
+            step = f * np.exp(y) * g
+            y_new = y - step / (1.0 - 0.5 * step * (r / g - 1.0))
+            bad = ~np.isfinite(y_new) | (y_new < lo) | (y_new > hi)
+            y_new = np.where(bad, 0.5 * (lo + hi), y_new)
+            # F carries rounding noise of a few ulps, so the last steps only jitter
+            if np.all(np.abs(y_new - y) <= 1e-14 * (1.0 + np.abs(y))):
+                return y_new
+            y = y_new
+        return y
+
+
+def _log1p_rel(y: np.ndarray) -> np.ndarray:
+    """log1p(y)/y, equal to 1 at y = 0."""
+    y = np.asarray(y, dtype=float)
+    safe = np.where(y == 0.0, 1.0, y)
+    return np.where(y == 0.0, 1.0, np.log1p(safe) / safe)
+
+
+class Arc:
+    """The plant from (t0, x0 = ln c1, v0 = ln c2) under a constant control u.
+
+    t0, x0, v0 and the parameters p1, p2, p3 may be arrays of one shape.  For
+    u < 1, v = v0 - k*Y and t = t0 + T*F(Y, r) with Y = x - x0.
+    """
+
+    def __init__(self, t0, x0, v0, u: float, p1, p2, p3, m: float):
+        self.t0, self.x0, self.v0, self.p3, self.m = t0, x0, v0, p3, m
+        self.u = u
+        self.q0 = np.asarray(p1 - p2 * x0 - p3 * v0, dtype=float)
+        self.frozen = u >= _U_FROZEN         # c1 stays constant
+        if not self.frozen:
+            self.k = u / (1.0 - u)
+            with np.errstate(all="ignore"):
+                self.r = (p2 - p3 * self.k) / self.q0
+                self.T = m * np.exp(-x0) / ((1.0 - u) * self.q0)
+            self._F = _ArcIntegral(self.r)
+
+    def time_to(self, x):
+        """Time at which ln c1 reaches x >= x0 (u < 1); +inf at the stall."""
+        with np.errstate(all="ignore"):
+            return self.t0 + self.T * self._F(x - self.x0)
+
+    def _event_y(self, ln_rf: float):
+        """Y (or, at u = 1, the fall of v) at which c1/c2 reaches e^ln_rf."""
+        gap = np.maximum(ln_rf - (self.x0 - self.v0), 0.0)   # ln c1/c2 still to gain
+        return gap if self.frozen else (1.0 - self.u) * gap
+
+    def ratio_event(self, ln_rf: float):
+        """(t, x, v) where c1/c2 first reaches e^ln_rf; t = +inf where the flux
+        stalls first (or is not positive to begin with)."""
+        q0 = self.q0
+        Y = self._event_y(ln_rf)
+        with np.errstate(all="ignore"):
+            if self.frozen:
+                # v falls by Y while the flux grows linearly in that fall
+                q_end = q0 + self.p3 * Y
+                t = self.t0 + (self.m * np.exp(-self.x0) * Y / q0
+                               * _log1p_rel(self.p3 * Y / q0))
+                x, v = self.x0 + 0.0 * Y, self.v0 - Y
+            else:
+                q_end = q0 * (1.0 - self.r * Y)
+                x, v = self.x0 + Y, self.v0 - self.k * Y
+                t = self.time_to(x)
+            reached = (q0 > _Q_FLOOR) & (q_end > _Q_FLOOR)
+            return np.where(reached, t, np.inf), x, v
+
+    def states(self, t, ln_rf: float):
+        """(x, v) at times t >= t0 up to the ratio event for e^ln_rf (or the
+        stall, when the flux stalls first)."""
+        s = np.asarray(t, dtype=float) - self.t0
+        q0 = self.q0
+        with np.errstate(all="ignore"):
+            if self.frozen:
+                beta = self.p3 * np.exp(self.x0) / self.m
+                v = self.v0 - np.exp(self.x0) * q0 / self.m * s * exprel(beta * s)
+                return self.x0 + 0.0 * s, v
+            moving = q0 > _Q_FLOOR            # a stalled plant stays where it is
+            y_hi = np.where(self.r > 0.0, 1.0 / self.r, self._event_y(ln_rf))
+            Y = self._F.inverse(np.where(moving, s / self.T, 0.0), y_hi)
+            Y = np.where(moving, Y, 0.0)
+            return self.x0 + Y, self.v0 - self.k * Y

@@ -14,8 +14,8 @@ import sys
 from .cases import UNCERTAINTY_PCT_DEFAULT, get_case
 from .errors import (ConfigError, DfrtoError, ModelInvalidatedError,
                      SimulationTimeout, StallError)
-from .harness import (ExperimentConfig, STRATEGIES, _batch_rngs, draw_truth,
-                      monte_carlo, read_results_csv, summarize)
+from .harness import (ExperimentConfig, STRATEGIES, _batch_rngs, monte_carlo,
+                      read_results_csv, summarize)
 from .process import ProcessSpec
 from .reach import project_switch_windows
 from .setmem import (OnlineBoxEstimator, ParamBox, read_measurements_csv,
@@ -32,8 +32,9 @@ def _cmd_simulate(args) -> int:
     spec = _load_spec(args.config)
     case = get_case(args.case)
     P0 = case.prior_box(spec, args.uncertainty)
+    # the truth and noise of batch 0 of `montecarlo --seed` with the same case
     truth_rng, noise_rng = _batch_rngs(args.seed, 0)
-    p_true = draw_truth(P0, truth_rng)
+    p_true = case.draw_truth_gamma(truth_rng, args.uncertainty, spec)
     if args.strategy == "optimal":
         res = optimal_strategy(p_true, spec, record=True)
     elif args.strategy == "nominal":

@@ -63,28 +63,37 @@ def _batch_rngs(master_seed: int, i: int) -> tuple[np.random.Generator, np.rando
     return (np.random.default_rng(truth_ss), np.random.default_rng(noise_ss))
 
 
+def _run_strategy(strat: str, cfg: ExperimentConfig, i: int, spec: ProcessSpec,
+                  P0: ParamBox, decisions: dict, p_true: PlantParams) -> BatchResult:
+    if strat == "optimal":
+        return optimal_strategy(p_true, spec)
+    if strat == "nominal":
+        return nominal_strategy(P0, p_true, spec, decision=decisions["nominal"])
+    if strat == "robust":
+        return robust_strategy(P0, p_true, spec, decision=decisions["robust"])
+    # every measuring strategy sees the identical per-sample noise stream
+    _, noise_rng = _batch_rngs(cfg.master_seed, i)
+    return adaptive_strategy(P0, p_true, spec, NoiseStream(noise_rng, spec.sigma))
+
+
 def run_batch(cfg: ExperimentConfig, i: int, spec: ProcessSpec, P0: ParamBox,
               decisions: dict) -> list[BatchResult]:
     """All requested strategies on the i-th truth/noise draw.
 
     Truths are drawn in gamma space (the declared +-pct uncertainty), which
     always lies inside the enclosing p-space prior box used by the estimator.
+    A strategy that raises is recorded as failed (timed out, NaN times) on its
+    own row; its paired siblings keep their results.
     """
     truth_rng, _ = _batch_rngs(cfg.master_seed, i)
     p_true = get_case(cfg.case).draw_truth_gamma(truth_rng, cfg.uncertainty_pct, spec)
     out = []
     for strat in cfg.strategies:
-        if strat == "optimal":
-            out.append(optimal_strategy(p_true, spec))
-        elif strat == "nominal":
-            out.append(nominal_strategy(P0, p_true, spec, decision=decisions["nominal"]))
-        elif strat == "robust":
-            out.append(robust_strategy(P0, p_true, spec, decision=decisions["robust"]))
-        else:
-            # every measuring strategy sees the identical per-sample noise stream
-            _, noise_rng = _batch_rngs(cfg.master_seed, i)
-            out.append(adaptive_strategy(P0, p_true, spec,
-                                         NoiseStream(noise_rng, spec.sigma)))
+        try:
+            out.append(_run_strategy(strat, cfg, i, spec, P0, decisions, p_true))
+        except DfrtoError:
+            out.append(BatchResult(strat, p_true, math.nan, math.nan, math.nan,
+                                   feasible=False, regret=math.nan, timed_out=True))
     return out
 
 
@@ -107,16 +116,7 @@ def monte_carlo(cfg: ExperimentConfig, spec: ProcessSpec | None = None,
             sink.write(",".join(RESULT_COLUMNS) + "\n")
         for i in range(cfg.n_batches):
             seed_i = _batch_seed(cfg.master_seed, i)
-            try:
-                batch = run_batch(cfg, i, spec, P0, decisions)
-            except DfrtoError:
-                # record the failure for every requested strategy, keep going
-                truth_rng, _ = _batch_rngs(cfg.master_seed, i)
-                p_true = case.draw_truth_gamma(truth_rng, cfg.uncertainty_pct, spec)
-                batch = [BatchResult(s, p_true, math.nan, math.nan, math.nan,
-                                     feasible=False, regret=math.nan, timed_out=True)
-                         for s in cfg.strategies]
-            for res in batch:
+            for res in run_batch(cfg, i, spec, P0, decisions):
                 results.append(res)
                 if sink:
                     sink.write(format_result_row(i, seed_i, res) + "\n")

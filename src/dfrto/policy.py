@@ -5,8 +5,9 @@ The time-optimal policy is concentrate (u=0) -> constant-flux diafiltration
 the flux drops to p2+p3; along the singular arc the flux is pinned there and
 the control is the constant u_s = p2/(p2+p3).
 
-Switching times have closed forms in the exponential integral Ei, used as the
-fast backend; an event-detecting ODE backend is kept for cross-validation.
+Switching times have closed forms in the exponential integral Ei (the arc
+times of dfrto.arc), used as the fast backend; an event-detecting ODE backend
+is kept for cross-validation.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expi
 
+from .arc import Arc
 from .errors import ConfigError, DegenerateModelError, UnsupportedStructureError
 from .process import (PlantParams, PlantState, ProcessSpec, StopCondition,
                       Trajectory, flux, integrate)
@@ -96,7 +97,7 @@ def plan_vectorized(P: np.ndarray, spec: ProcessSpec) -> dict[str, np.ndarray]:
     if np.any(w0 <= ws):
         raise UnsupportedStructureError("initial state not above the singular surface")
     c1_sw = np.exp(alpha / p2 - ws)
-    t1 = m * np.exp(-alpha / p2) / p2 * (expi(w0) - expi(ws))
+    t1 = Arc(0.0, ln_c10, ln_c20, 0.0, p1, p2, p3, m).time_to(alpha / p2 - ws)
 
     rf = spec.ratio_f
     dt2 = np.empty_like(t1)

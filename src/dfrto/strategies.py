@@ -10,6 +10,12 @@ concentration ratio, so terminal feasibility holds under any mismatch.
  - adaptive: concentrate while estimating; one re-optimization scheduled just
    before the guaranteed lower edge of the t1 window, then a certainty-
    equivalence switch; the singular control is refreshed as the box shrinks.
+
+On the adaptive singular arc the plant is propagated in closed form (arc.py):
+the states at a block of sampling instants come from one vectorized solve and
+the ratio event from its exact expression, so no step size or event tolerance
+is involved.  realized_batch_times evaluates committed decisions with the same
+arc formulas.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.special import expi
 
+from .arc import Arc
 from .errors import ConfigError, SimulationTimeout
 from .policy import plan_vectorized, singular_control
 from .process import (PlantParams, PlantState, ProcessSpec, StopCondition,
@@ -28,30 +34,7 @@ from .process import (PlantParams, PlantState, ProcessSpec, StopCondition,
 from .reach import SwitchWindows, project_switch_windows
 from .setmem import OnlineBoxEstimator, ParamBox
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(64)
-_Q_FLOOR = 1e-12
-
-
 # --- closed-form evaluation of a committed decision -----------------------------
-
-def _expi_inverse(target: np.ndarray, w_hi: np.ndarray) -> np.ndarray:
-    """Solve expi(w) = target for w in (0, w_hi], elementwise (safeguarded Newton)."""
-    lo = np.full_like(w_hi, 1e-300)
-    hi = w_hi.astype(float).copy()
-    w = hi.copy()
-    for _ in range(90):
-        f = expi(w) - target
-        hi = np.where(f > 0.0, w, hi)
-        lo = np.where(f < 0.0, w, lo)
-        w_new = w - f * w * np.exp(-w)
-        bad = ~np.isfinite(w_new) | (w_new <= lo) | (w_new >= hi)
-        w_new = np.where(bad, 0.5 * (lo + hi), w_new)
-        if np.all(np.abs(w_new - w) <= 1e-15 * (1.0 + np.abs(w))):
-            w = w_new
-            break
-        w = w_new
-    return w
-
 
 def realized_batch_times(P, t1_commit: float, u_commit: float,
                          spec: ProcessSpec) -> np.ndarray:
@@ -65,53 +48,11 @@ def realized_batch_times(P, t1_commit: float, u_commit: float,
     if not 0.0 < u_commit <= 1.0:
         raise ConfigError(f"committed singular control must be in (0, 1]: {u_commit}")
     p1, p2, p3 = P[:, 0], P[:, 1], P[:, 2]
-    m = spec.mass
-    ln_c10, ln_c20 = math.log(spec.c1_0), math.log(spec.c2_0)
-    rf = spec.ratio_f
-
-    # concentrate to the committed time
-    alpha = p1 - p3 * ln_c20
-    w0 = alpha / p2 - ln_c10
-    target = expi(w0) - t1_commit * p2 * np.exp(alpha / p2) / m
-    w_a = _expi_inverse(target, w0)
-    x_a = alpha / p2 - w_a              # ln c1 at the switch
-    c1_a = np.exp(x_a)
-    q_a = p2 * w_a
-
-    tf = np.full(P.shape[0], np.inf)
-    if u_commit >= 1.0 - 1e-12:
-        # constant-volume diafiltration: c1 frozen, c2 washes out
-        v_a = ln_c20
-        v_end = x_a - math.log(rf)
-        a3 = p1 - p2 * x_a
-        q_end = a3 - p3 * v_end
-        ok = (q_a > _Q_FLOOR) & (q_end > _Q_FLOOR)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dt = np.where(
-                p3 > 0.0,
-                m / (c1_a * np.where(p3 > 0, p3, 1.0)) * np.log(q_end / q_a),
-                m * (v_a - v_end) / (c1_a * q_a),
-            )
-        tf[ok] = t1_commit + dt[ok]
-        return tf
-
-    k_c = u_commit / (1.0 - u_commit)
-    x_end = (math.log(rf * spec.c2_0) + k_c * x_a) / (1.0 + k_c)
-    a2 = p1 - p3 * ln_c20 - p3 * k_c * x_a
-    b2 = p2 - p3 * k_c                   # q = a2 - b2*x along the arc
-    q_end = a2 - b2 * x_end
-    ok = (q_a > _Q_FLOOR) & (q_end > _Q_FLOOR)
-    # Gauss-Legendre in x = ln c1 (q is linear in x, integrand smooth)
-    half = 0.5 * (x_end - x_a)
-    mid_x = 0.5 * (x_end + x_a)
-    xs = mid_x[:, None] + half[:, None] * _GAUSS_X[None, :]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        qx = a2[:, None] - b2[:, None] * xs
-        integrand = np.exp(-xs) / qx
-        integral = (integrand @ _GAUSS_W) * half
-        dt = m * integral / (1.0 - u_commit)
-    tf[ok] = t1_commit + dt[ok]
-    return tf
+    ln_rf = math.log(spec.ratio_f)
+    conc = Arc(0.0, math.log(spec.c1_0), math.log(spec.c2_0), 0.0, p1, p2, p3, spec.mass)
+    x_a, v_a = conc.states(t1_commit, ln_rf)
+    sing = Arc(t1_commit, x_a, v_a, u_commit, p1, p2, p3, spec.mass)
+    return sing.ratio_event(ln_rf)[0]
 
 
 # --- batch execution --------------------------------------------------------------
@@ -151,6 +92,14 @@ def _plan_tf(p: PlantParams, spec: ProcessSpec) -> float:
     return float(plan_vectorized(p.as_array()[None, :], spec)["tf"][0])
 
 
+def _dilute_to_target(end: PlantState, spec: ProcessSpec) -> tuple[PlantState, bool]:
+    """Instantaneous dilution at the ratio event, and whether it lands on target."""
+    post = dilute(end, min(spec.c1_f, end.c1))
+    feasible = bool(abs(post.c1 - spec.c1_f) <= 1e-6 * spec.c1_f
+                    and abs(post.c2 - spec.c2_f) <= 1e-6 * spec.c2_f)
+    return post, feasible
+
+
 def _finish_batch(strategy: str, p_true: PlantParams, spec: ProcessSpec,
                   decision: StrategyDecision, *, record: bool,
                   reopt_count: int = 0, box_history=None) -> BatchResult:
@@ -166,9 +115,7 @@ def _finish_batch(strategy: str, p_true: PlantParams, spec: ProcessSpec,
                            feasible=False, regret=math.nan, reopt_count=reopt_count,
                            timed_out=True, box_history=box_history)
     end = arc2.final_state()
-    post = dilute(end, min(spec.c1_f, end.c1))
-    feasible = bool(abs(post.c1 - spec.c1_f) <= 1e-6 * spec.c1_f
-                    and abs(post.c2 - spec.c2_f) <= 1e-6 * spec.c2_f)
+    post, feasible = _dilute_to_target(end, spec)
     traj = None
     if record:
         tail = Trajectory(np.array([post.t]), np.array([post.c1]), np.array([post.c2]),
@@ -466,85 +413,32 @@ def adaptive_strategy(P0: ParamBox, p_true: PlantParams, spec: ProcessSpec,
         y = run_concentrate(t_now, t1_commit, y)
         t_now = t1_commit
 
-    # phase 2: singular arc, per-sample plant stepping so that control refreshes
-    # and box updates take effect at exact sampling instants
+    # phase 2: singular arc in closed form, evaluated at the sampling instants
+    # so that control refreshes and box updates take effect exactly there
     u_now = singular_control(est.box.mid())
     refresh = cfg.refresh_singular == "each_sample"
     band_degenerate = est.box.widths()[1] + est.box.widths()[2] < 1e-12
     p1t, p2t, p3t = p_true.p1, p_true.p2, p_true.p3
-    minv = 1.0 / m
-
-    log = math.log
-
-    def rk4_step(c1, c2, h, u):
-        om = (1.0 - u) * minv
-        un = u * minv
-        q = p1t - p2t * log(c1) - p3t * log(c2)
-        k1a = c1 * c1 * q * om
-        k1b = -c1 * c2 * q * un
-        a = c1 + 0.5 * h * k1a
-        b = c2 + 0.5 * h * k1b
-        q = p1t - p2t * log(a) - p3t * log(b)
-        k2a = a * a * q * om
-        k2b = -a * b * q * un
-        a = c1 + 0.5 * h * k2a
-        b = c2 + 0.5 * h * k2b
-        q = p1t - p2t * log(a) - p3t * log(b)
-        k3a = a * a * q * om
-        k3b = -a * b * q * un
-        a = c1 + h * k3a
-        b = c2 + h * k3b
-        q = p1t - p2t * log(a) - p3t * log(b)
-        k4a = a * a * q * om
-        k4b = -a * b * q * un
-        return (c1 + h * (k1a + 2.0 * (k2a + k3a) + k4a) / 6.0,
-                c2 + h * (k1b + 2.0 * (k2b + k3b) + k4b) / 6.0)
-
-    def locate_ratio(c1, c2, t0_h, h_max, u):
-        """Bisect the time step until the ratio crossing is within TOL_EVENT."""
-        lo_h, hi_h = 0.0, h_max
-        for _ in range(60):
-            if hi_h - lo_h <= 1e-6:
-                break
-            h_try = 0.5 * (lo_h + hi_h)
-            a, b = rk4_step(c1, c2, h_try, u)
-            if a / b >= rf:
-                hi_h = h_try
-            else:
-                lo_h = h_try
-        a, b = rk4_step(c1, c2, hi_h, u)
-        return t0_h + hi_h, a, b
+    ln_rf = math.log(rf)
 
     k_next = int(math.floor(t_now / dt + 1e-9)) + 1
-    c1v, c2v = float(y[0]), float(y[1])
+    x_now, v_now = math.log(y[0]), math.log(y[1])
     t_event = None
     block = 256
-    buf_t = np.empty(4096 + 1)
-    buf_c1 = np.empty(4096 + 1)
-    buf_c2 = np.empty(4096 + 1)
     while t_event is None:
         if t_now >= spec.t_max:
             return BatchResult("adaptive", p_true, t1_commit, math.nan, math.nan,
                                feasible=False, regret=math.nan, reopt_count=reopts,
                                timed_out=True, box_history=boxes)
-        n = min(block, 4096)
-        buf_t[0], buf_c1[0], buf_c2[0] = t_now, c1v, c2v
-        filled = 0
-        for i in range(n):
-            ts_i = (k_next + i) * dt
-            h = ts_i - (buf_t[filled])
-            a, b = rk4_step(buf_c1[filled], buf_c2[filled], h, u_now)
-            if a / b >= rf:
-                t_event, a, b = locate_ratio(buf_c1[filled], buf_c2[filled],
-                                             buf_t[filled], h, u_now)
-                c1v, c2v = a, b
-                break
-            filled += 1
-            buf_t[filled], buf_c1[filled], buf_c2[filled] = ts_i, a, b
+        arc = Arc(t_now, x_now, v_now, u_now, p1t, p2t, p3t, m)
+        t_ev, x_ev, v_ev = (float(a) for a in arc.ratio_event(ln_rf))
+        ts = (k_next + np.arange(block)) * dt
+        filled = int(np.searchsorted(ts, t_ev))     # samples before the event
+        if filled < block:
+            t_event = t_ev
+        ts = ts[:filled]
+        lc1, lc2 = arc.states(ts, ln_rf)
         if filled > 0:
-            ts = buf_t[1:filled + 1]
-            lc1 = np.log(buf_c1[1:filled + 1])
-            lc2 = np.log(buf_c2[1:filled + 1])
             q_true = p1t - p2t * lc1 - p3t * lc2
             rows = np.column_stack([np.ones(filled), -lc1, -lc2])
             q_noisy = q_true + noise.eta(np.arange(k_next, k_next + filled))
@@ -560,15 +454,14 @@ def adaptive_strategy(P0: ParamBox, p_true: PlantParams, spec: ProcessSpec,
                     u_new = singular_control(est.box.mid())
                     pending = start < filled or t_event is not None
                     if pending and abs(u_new - u_now) > 1e-13:
-                        # the box changed at sample `start`; later steps (and
-                        # any event) were taken under the superseded control
+                        # the box changed at sample `start`; later samples (and
+                        # any event) were computed under the superseded control
                         if rec is not None:
-                            rec.append((ts[:start].copy(), buf_c1[1:start + 1].copy(),
-                                        buf_c2[1:start + 1].copy(), u_now))
+                            rec.append((ts[:start], np.exp(lc1[:start]),
+                                        np.exp(lc2[:start]), u_now))
                         u_now = u_new
                         t_now = float(ts[start - 1])
-                        c1v = float(buf_c1[start])
-                        c2v = float(buf_c2[start])
+                        x_now, v_now = float(lc1[start - 1]), float(lc2[start - 1])
                         k_next += start
                         block = 64
                         t_event = None
@@ -578,18 +471,15 @@ def adaptive_strategy(P0: ParamBox, p_true: PlantParams, spec: ProcessSpec,
             if rewound:
                 continue
             if rec is not None:
-                rec.append((ts.copy(), buf_c1[1:filled + 1].copy(),
-                            buf_c2[1:filled + 1].copy(), u_now))
+                rec.append((ts, np.exp(lc1), np.exp(lc2), u_now))
             if t_event is None:
                 t_now = float(ts[-1])
-                c1v, c2v = float(buf_c1[filled]), float(buf_c2[filled])
+                x_now, v_now = float(lc1[-1]), float(lc2[-1])
                 k_next += filled
                 block = min(block * 2, 4096)
 
-    end = PlantState(t_event, c1v, c2v)
-    post = dilute(end, min(spec.c1_f, end.c1))
-    feasible = bool(abs(post.c1 - spec.c1_f) <= 1e-6 * spec.c1_f
-                    and abs(post.c2 - spec.c2_f) <= 1e-6 * spec.c2_f)
+    end = PlantState(t_event, math.exp(x_ev), math.exp(v_ev))
+    post, feasible = _dilute_to_target(end, spec)
     traj = None
     if rec is not None:
         rec.append((np.array([t_event]), np.array([end.c1]), np.array([end.c2]), u_now))

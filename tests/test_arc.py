@@ -1,0 +1,173 @@
+"""Closed-form constant-control arcs against the RK4 oracle and the ODE solver."""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.integrate import quad
+
+from dfrto.arc import Arc, _ArcIntegral
+from dfrto.process import (TOL_EVENT, PlantParams, PlantState, StopCondition,
+                           integrate)
+from dfrto.strategies import NoiseStream, adaptive_strategy
+from oracles import rk4_event_time, rk4_integrate
+
+START = PlantState(2.5, 225.0, 50.0)      # roughly where a singular arc begins
+
+
+def _arc(state, u, p, spec):
+    return Arc(state.t, math.log(state.c1), math.log(state.c2), u,
+               p.p1, p.p2, p.p3, spec.mass)
+
+
+def _states(state, u, p, spec, ts):
+    x, v = _arc(state, u, p, spec).states(np.asarray(ts), math.log(spec.ratio_f))
+    return np.exp(x), np.exp(v)
+
+
+def _ratio_event(state, u, p, spec):
+    t, x, v = _arc(state, u, p, spec).ratio_event(math.log(spec.ratio_f))
+    return float(t), math.exp(float(x)), math.exp(float(v))
+
+
+def _b(p, u):
+    """Slope of the flux in ln c1 along the arc: q = a - b*ln c1."""
+    return p.p2 - p.p3 * u / (1.0 - u)
+
+
+# (u, plant) covering every branch of the closed form
+P_GEN = PlantParams(20.7233, 3.0, 0.3)
+ARCS = {
+    "concentrate": (0.0, P_GEN),
+    "b_positive": (0.85, P_GEN),
+    "b_negative": (0.95, P_GEN),
+    "b_zero": (0.75, PlantParams(23.5, 3.0, 1.0)),     # k = 3 exactly
+    "wash_p3_zero": (1.0, PlantParams(20.7233, 3.0, 0.0)),
+    "wash_p3_positive": (1.0, P_GEN),
+}
+
+
+def test_arc_table_covers_each_sign_of_b():
+    assert _b(ARCS["b_positive"][1], ARCS["b_positive"][0]) > 0.0
+    assert _b(ARCS["b_negative"][1], ARCS["b_negative"][0]) < 0.0
+    assert _b(ARCS["b_zero"][1], ARCS["b_zero"][0]) == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(ARCS))
+def test_states_match_rk4_oracle(spec, name):
+    u, p = ARCS[name]
+    t_end = START.t + 0.5
+    _, c1o, c2o, _ = rk4_integrate(START, u, p, spec, t_end, h=1e-4)
+    c1, c2 = _states(START, u, p, spec, [t_end])
+    assert c1[0] == pytest.approx(c1o, rel=1e-9)
+    assert c2[0] == pytest.approx(c2o, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(ARCS))
+def test_states_match_integrate(spec, name):
+    u, p = ARCS[name]
+    ts = START.t + np.array([1.0 / 3600.0, 0.1, 0.7, 1.3])
+    c1, c2 = _states(START, u, p, spec, ts)
+    for t, a, b in zip(ts, c1, c2):
+        end = integrate(START, u, p, StopCondition.at_time(t), spec,
+                        rtol=1e-11, record=False).final_state()
+        assert a == pytest.approx(end.c1, rel=1e-8)
+        assert b == pytest.approx(end.c2, rel=1e-8)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in ARCS if n != "concentrate"))
+def test_ratio_event_matches_oracles(spec, name):
+    u, p = ARCS[name]
+    rf = spec.ratio_f
+    t_ev, c1, c2 = _ratio_event(START, u, p, spec)
+    assert c1 / c2 == pytest.approx(rf, rel=1e-12)
+    t_rk4 = rk4_event_time(START, u, p, spec, lambda a, b: a / b - rf, h=1e-4)
+    assert abs(t_ev - t_rk4) <= TOL_EVENT
+    arc = integrate(START, u, p, StopCondition.ratio_reached(rf), spec,
+                    rtol=1e-11, record=False)
+    assert abs(t_ev - arc.event_time) <= TOL_EVENT
+    end = arc.final_state()
+    assert c1 == pytest.approx(end.c1, rel=1e-7)
+    assert c2 == pytest.approx(end.c2, rel=1e-7)
+
+
+def test_concentrate_time_to_matches_oracle(spec):
+    u, p = ARCS["concentrate"]
+    start = spec.initial_state()
+    target = 200.0
+    t = float(_arc(start, u, p, spec).time_to(math.log(target)))
+    t_rk4 = rk4_event_time(start, u, p, spec, lambda a, b: a - target, h=1e-4)
+    assert abs(t - t_rk4) <= TOL_EVENT
+
+
+def test_near_stall_arc(spec):
+    # b > 0 and the flux reaches zero before the ratio target: no event, and
+    # the states creep toward the stall concentration without crossing it
+    u, p = 0.3, P_GEN
+    x0, v0 = math.log(START.c1), math.log(START.c2)
+    y_end = (1.0 - u) * (math.log(spec.ratio_f) - (x0 - v0))
+    q_end = p.p1 - p.p2 * (x0 + y_end) - p.p3 * (v0 - u / (1.0 - u) * y_end)
+    assert _b(p, u) > 0.0 and q_end < 0.0
+    t_ev, _, _ = _ratio_event(START, u, p, spec)
+    assert t_ev == math.inf
+    ts = START.t + np.array([0.05, 0.5, 2.0, 8.0])
+    c1, c2 = _states(START, u, p, spec, ts)
+    for t, a, b in zip(ts, c1, c2):
+        end = integrate(START, u, p, StopCondition.at_time(t), spec,
+                        rtol=1e-11, record=False).final_state()
+        assert a == pytest.approx(end.c1, rel=1e-8)
+        assert b == pytest.approx(end.c2, rel=1e-8)
+    q = p.p1 - p.p2 * np.log(c1) - p.p3 * np.log(c2)
+    assert np.all(q > 0.0) and np.all(np.diff(q) < 0.0)
+    assert q[-1] < 1e-3 * q[0]
+
+
+def test_stalled_start_stays_put(spec):
+    p = PlantParams(P_GEN.p1, P_GEN.p2, P_GEN.p3)
+    x_stall = (p.p1 - p.p3 * math.log(50.0)) / p.p2
+    start = PlantState(1.0, math.exp(x_stall), 50.0)
+    assert _ratio_event(start, 0.85, p, spec)[0] == math.inf
+    c1, c2 = _states(start, 0.85, p, spec, [1.5, 3.0])
+    assert np.allclose(c1, start.c1, rtol=1e-12) and np.allclose(c2, start.c2, rtol=1e-12)
+
+
+@pytest.mark.parametrize("r", [0.0, 1e-12, -1e-12, 1e-6, 0.02, -0.3, 0.4, 1.5, -5.0])
+def test_arc_integral_matches_quadrature(r):
+    Y = np.array([1e-6, 1e-3, 0.1, 0.6, 1.5])
+    Y = Y[1.0 - r * Y > 0.05]
+    ref = np.array([quad(lambda y: math.exp(-y) / (1.0 - r * y), 0.0, yy,
+                         epsabs=0.0, epsrel=1e-13)[0] for yy in Y])
+    # r != 0 takes the exponential-integral form, a difference of two O(1)
+    # terms whose rounding error is absolute; a scalar r and one r per element
+    # take separate r = 0 branches
+    with np.errstate(all="ignore"):      # 1/r at r = 0 in the array form
+        got = [_ArcIntegral(r)(Y), _ArcIntegral(np.full(Y.shape, r))(Y)]
+    for g in got:
+        np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-15)
+
+
+def test_arc_integral_inverse_round_trip():
+    arc = Arc(0.0, 0.0, 0.0, 0.5, 4.0, 1.0, 0.5, 1.0)     # r = 0.125, T = 0.5
+    ts = np.linspace(0.0, 0.2, 9)
+    x, _ = arc.states(ts, math.log(1e6))
+    np.testing.assert_allclose(arc.time_to(x), ts, rtol=0.0, atol=1e-13)
+
+
+def test_adaptive_event_time_matches_rk4(spec, case2):
+    rng = np.random.default_rng(21)
+    p_true = case2.draw_truth_gamma(rng, 0.10, spec)
+    res = adaptive_strategy(case2.prior_box(spec), p_true, spec,
+                            NoiseStream(np.random.default_rng(5), spec.sigma),
+                            record=True)
+    traj = res.trajectory
+    assert res.feasible and traj.event_time == res.tf
+    # the samples before the event row share the final control; restart the
+    # oracle a few minutes back along them
+    u_last = traj.u[-2]
+    j = len(traj.t) - 2
+    while j > 0 and traj.u[j - 1] == u_last and traj.t[-2] - traj.t[j - 1] <= 0.05:
+        j -= 1
+    start = PlantState(traj.t[j], traj.c1[j], traj.c2[j])
+    t_rk4 = rk4_event_time(start, u_last, p_true, spec,
+                           lambda a, b: a / b - spec.ratio_f, h=1e-4)
+    assert abs(res.tf - t_rk4) <= TOL_EVENT

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dfrto.cli import main
+from dfrto.harness import read_results_csv
 from dfrto.process import PlantParams, ProcessSpec, flux
 
 
@@ -35,6 +36,22 @@ def test_simulate_deterministic(tmp_path, capsys):
         capsys.readouterr()
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("strategy", ["nominal", "adaptive"])
+def test_simulate_reproduces_montecarlo_batch0(tmp_path, capsys, strategy):
+    out = tmp_path / "mc.csv"
+    rc = run(["montecarlo", "--n", "1", "--seed", "6", "--case", "generalized",
+              "--strategies", strategy, "--out", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    row = read_results_csv(str(out))[0]
+    rc = run(["simulate", "--case", "generalized", "--strategy", strategy, "--seed", "6"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["p_true"] == pytest.approx([row["p1"], row["p2"], row["p3"]], rel=1e-11)
+    assert payload["tf"] == pytest.approx(row["tf"], rel=1e-9)
+    assert payload["t1"] == pytest.approx(row["t1"], rel=1e-9)
 
 
 def test_estimate_roundtrip(tmp_path, capsys):

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-from dfrto.errors import ConfigError
+from dfrto import harness
+from dfrto.errors import ConfigError, StallError
 from dfrto.harness import (ExperimentConfig, draw_truth, monte_carlo,
                            read_results_csv, summarize)
 from dfrto.setmem import ParamBox
@@ -132,3 +135,22 @@ def test_stats_csv_roundtrip(tmp_path):
     assert lines[0].startswith("strategy,metric,n,")
     assert len(lines) == 3
     assert stats.to_table().count("\n") >= 3
+
+
+def test_one_strategy_failure_keeps_paired_rows(monkeypatch):
+    cfg = ExperimentConfig(case="limiting_flux", n_batches=2, master_seed=11)
+    clean = monte_carlo(cfg)
+
+    def stall(*args, **kwargs):
+        raise StallError("flux reached zero")
+
+    monkeypatch.setattr(harness, "adaptive_strategy", stall)
+    broken = monte_carlo(cfg)
+    assert [r.strategy for r in broken] == [r.strategy for r in clean]
+    for a, b in zip(clean, broken):
+        assert b.p_true == a.p_true
+        if a.strategy == "adaptive":
+            assert b.timed_out and not b.feasible and math.isnan(b.tf)
+        else:
+            assert not b.timed_out
+            assert (b.t1, b.tf, b.regret, b.feasible) == (a.t1, a.tf, a.regret, a.feasible)
