@@ -9,14 +9,17 @@ Y = x - x0, q0 = q(x0) and r = (p2 - p3*k)/q0,
     F(Y, r) = integral_0^Y e^(-y) / (1 - r*y) dy,
 
 an exponential integral for r != 0 and 1 - e^(-Y) for r = 0 (the flux is
-pinned, which is what the true singular control does).  The ratio c1/c2 is
-e^(x-v), so the ratio event is where Y reaches (1-u)*(ln rf - (x0 - v0)).
+pinned, which is what the true singular control does).  For r > 0 the flux
+stalls as Y -> 1/r and t grows without bound; for r <= 0, c1 grows without
+bound by the finite time t0 + T*F(inf, r).  The ratio c1/c2 is e^(x-v), so
+the ratio event is where Y reaches (1-u)*(ln rf - (x0 - v0)).
 
 At u = 1, c1 is frozen, c2 washes out, and the flux grows as q0*e^(beta*s)
 with beta = p3*c1/m after a time s, so states and event times are explicit.
 
 Every routine broadcasts over numpy arrays: one arc per parameter row
-(realized_batch_times) or one arc at many sample times (the adaptive loop).
+(realized_batch_times) or one arc at many sample times (the adaptive loop and
+process.integrate).
 """
 
 from __future__ import annotations
@@ -96,6 +99,16 @@ class _ArcIntegral:
             y = y_new
         return y
 
+    def limit(self) -> np.ndarray:
+        """F(inf, r): +inf for r > 0 (the flux stalls at Y = 1/r), finite for
+        r <= 0 (c1 grows without bound in finite time)."""
+        r = self.r
+        if np.all(r > 0.0):
+            return np.full(r.shape, np.inf)
+        with np.errstate(all="ignore"):
+            g0 = _scaled_expi(1.0 / r)
+            return np.where(r > 0.0, np.inf, np.where(r == 0.0, 1.0, g0 / r))
+
 
 def _log1p_rel(y: np.ndarray) -> np.ndarray:
     """log1p(y)/y, equal to 1 at y = 0."""
@@ -128,33 +141,52 @@ class Arc:
         with np.errstate(all="ignore"):
             return self.t0 + self.T * self._F(x - self.x0)
 
-    def _event_y(self, ln_rf: float):
+    def ratio_y(self, ln_rf: float):
         """Y (or, at u = 1, the fall of v) at which c1/c2 reaches e^ln_rf."""
         gap = np.maximum(ln_rf - (self.x0 - self.v0), 0.0)   # ln c1/c2 still to gain
         return gap if self.frozen else (1.0 - self.u) * gap
 
-    def ratio_event(self, ln_rf: float):
-        """(t, x, v) where c1/c2 first reaches e^ln_rf; t = +inf where the flux
-        stalls first (or is not positive to begin with)."""
+    def at_y(self, Y):
+        """(t, x, v) where ln c1 has grown by Y >= 0 (u < 1); t = +inf where
+        the flux stalls first (or is not positive to begin with)."""
         q0 = self.q0
-        Y = self._event_y(ln_rf)
         with np.errstate(all="ignore"):
-            if self.frozen:
-                # v falls by Y while the flux grows linearly in that fall
-                q_end = q0 + self.p3 * Y
-                t = self.t0 + (self.m * np.exp(-self.x0) * Y / q0
-                               * _log1p_rel(self.p3 * Y / q0))
-                x, v = self.x0 + 0.0 * Y, self.v0 - Y
-            else:
-                q_end = q0 * (1.0 - self.r * Y)
-                x, v = self.x0 + Y, self.v0 - self.k * Y
-                t = self.time_to(x)
+            q_end = q0 * (1.0 - self.r * Y)
+            x, v = self.x0 + Y, self.v0 - self.k * Y
+            t = self.time_to(x)
             reached = (q0 > _Q_FLOOR) & (q_end > _Q_FLOOR)
             return np.where(reached, t, np.inf), x, v
 
-    def states(self, t, ln_rf: float):
-        """(x, v) at times t >= t0 up to the ratio event for e^ln_rf (or the
-        stall, when the flux stalls first)."""
+    def ratio_event(self, ln_rf: float):
+        """(t, x, v) where c1/c2 first reaches e^ln_rf; t = +inf where the flux
+        stalls first (or is not positive to begin with)."""
+        Y = self.ratio_y(ln_rf)
+        if not self.frozen:
+            return self.at_y(Y)
+        q0 = self.q0
+        with np.errstate(all="ignore"):
+            # v falls by Y while the flux grows linearly in that fall
+            q_end = q0 + self.p3 * Y
+            t = self.t0 + (self.m * np.exp(-self.x0) * Y / q0
+                           * _log1p_rel(self.p3 * Y / q0))
+            reached = (q0 > _Q_FLOOR) & (q_end > _Q_FLOOR)
+            return np.where(reached, t, np.inf), self.x0 + 0.0 * Y, self.v0 - Y
+
+    def y_bound(self, t):
+        """For r <= 0, a Y that the arc (u < 1) reaches no earlier than time t,
+        to bracket states(t): there F(inf) - F(Y) <= e^(-Y).  The result is
+        +inf or nan where c1 has grown without bound by t, and -inf where
+        r > 0, where states does not use it."""
+        with np.errstate(all="ignore"):
+            return -np.log(self._F.limit() - (t - self.t0) / self.T)
+
+    def states(self, t, y_hi):
+        """(x, v) at times t >= t0.
+
+        For u < 1 the Y at these times is bracketed by the stall asymptote 1/r
+        where r > 0 and by y_hi elsewhere, so y_hi must be a Y that the arc
+        reaches no earlier than the last of t (its stop: ratio_y or y_bound).
+        """
         s = np.asarray(t, dtype=float) - self.t0
         q0 = self.q0
         with np.errstate(all="ignore"):
@@ -163,7 +195,7 @@ class Arc:
                 v = self.v0 - np.exp(self.x0) * q0 / self.m * s * exprel(beta * s)
                 return self.x0 + 0.0 * s, v
             moving = q0 > _Q_FLOOR            # a stalled plant stays where it is
-            y_hi = np.where(self.r > 0.0, 1.0 / self.r, self._event_y(ln_rf))
-            Y = self._F.inverse(np.where(moving, s / self.T, 0.0), y_hi)
+            hi = np.where(self.r > 0.0, 1.0 / self.r, y_hi)
+            Y = self._F.inverse(np.where(moving, s / self.T, 0.0), hi)
             Y = np.where(moving, Y, 0.0)
             return self.x0 + Y, self.v0 - self.k * Y

@@ -6,8 +6,8 @@ the flux drops to p2+p3; along the singular arc the flux is pinned there and
 the control is the constant u_s = p2/(p2+p3).
 
 Switching times have closed forms in the exponential integral Ei (the arc
-times of dfrto.arc), used as the fast backend; an event-detecting ODE backend
-is kept for cross-validation.
+times of dfrto.arc); the test suite checks them against an independent ODE
+integrator.
 """
 
 from __future__ import annotations
@@ -122,14 +122,12 @@ def plan_vectorized(P: np.ndarray, spec: ProcessSpec) -> dict[str, np.ndarray]:
             "c1_switch": c1_sw, "c1_end": c1_end}
 
 
-def compute_switch_times(p: PlantParams, spec: ProcessSpec,
-                         backend: str = "analytic") -> PolicyParams:
+def compute_switch_times(p: PlantParams, spec: ProcessSpec) -> PolicyParams:
     """Switching times for a known parameter vector.
 
     t1 is where the switching function crosses zero along u=0 from the initial
     state; t2 is where c1/c2 reaches the terminal ratio along u=u_s; dilution
-    is instantaneous so tf = t2.  backend="integrate" recomputes both events
-    with the adaptive ODE solver instead of the closed forms.
+    is instantaneous so tf = t2.
     """
     s0 = switching_function(spec.initial_state(), p)
     if s0 <= 0.0:
@@ -142,18 +140,7 @@ def compute_switch_times(p: PlantParams, spec: ProcessSpec,
         raise UnsupportedStructureError(
             f"singular arc ends at c1 = {plan['c1_end'][0]:.4g} g/L below the "
             f"target {spec.c1_f} g/L: dilution cannot reach the final state")
-    if backend == "analytic":
-        t1, tf = float(plan["t1"][0]), float(plan["tf"][0])
-        return PolicyParams(p, t1, tf, tf)
-    if backend != "integrate":
-        raise ConfigError(f"unknown backend {backend!r}")
-    arc1 = integrate(spec.initial_state(), 0.0, p,
-                     StopCondition.switch_crossing(), spec, record=False)
-    t1 = float(arc1.event_time)
-    us = singular_control(p)
-    arc2 = integrate(arc1.final_state(), us, p,
-                     StopCondition.ratio_reached(spec.ratio_f), spec, record=False)
-    tf = float(arc2.event_time)
+    t1, tf = float(plan["t1"][0]), float(plan["tf"][0])
     return PolicyParams(p, t1, tf, tf)
 
 

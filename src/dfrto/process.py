@@ -4,6 +4,12 @@ States are the macro-solute concentration c1 and micro-solute concentration c2
 (both g/L); the tank volume is not a state because macro-solute mass is
 conserved, V(t) = c1_0*V0/c1(t).  All times are hours internally; the sampling
 period is configured in seconds.
+
+`integrate` runs the plant along constant-control arcs in closed form
+(dfrto.arc): states on the sampling grid and every stop event (a time, the
+switching surface, the terminal ratio, a c1 target) come from explicit
+expressions, with no step size or event tolerance.  The test suite keeps an
+independent ODE integrator as the cross-check.
 """
 
 from __future__ import annotations
@@ -11,11 +17,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from .arc import Arc
 from .errors import ConfigError, DomainError, SimulationTimeout, StallError
 
 # Flux prefactor calibration: the reported mass-transfer coefficient with A in
@@ -25,8 +31,8 @@ from .errors import ConfigError, DomainError, SimulationTimeout, StallError
 # selectable.
 GAMMA1_UNIT_SCALE = 100.0
 
-# Default tolerances for the adaptive integrator and its event localization.
-RTOL_DEFAULT = 1e-8
+# Resolution of the switching-time windows (reach) and of event-time checks;
+# the plant propagation itself is exact up to rounding.
 TOL_EVENT = 1e-6  # hours
 
 
@@ -222,6 +228,10 @@ class StopCondition:
     def __post_init__(self):
         if self.kind not in _STOP_KINDS:
             raise ConfigError(f"unknown stop kind {self.kind!r}")
+        if self.kind == "time" and not math.isfinite(self.value):
+            raise ConfigError(f"stop time must be finite, got {self.value}")
+        if self.kind in ("ratio", "c1_target") and not self.value > 0.0:
+            raise ConfigError(f"{self.kind} stop needs a positive value, got {self.value}")
 
     @classmethod
     def at_time(cls, t: float) -> "StopCondition":
@@ -276,39 +286,21 @@ class Trajectory:
                          f"{V[i]:.10g},{self.u[i]:.10g},{self.q[i]:.10g}\n")
 
 
-def _event_fn(stop: StopCondition, p: PlantParams, spec: ProcessSpec) -> Callable | None:
-    if stop.kind == "time":
-        return None
-    if stop.kind == "switch":
-        ps = stop.switch_params if stop.switch_params is not None else p
-
-        def ev(t, y):
-            return (ps.p1 - ps.p2 * math.log(y[0]) - ps.p3 * math.log(y[1])
-                    - ps.p2 - ps.p3)
-        ev.direction = -1.0
-    elif stop.kind == "ratio":
-        def ev(t, y):
-            return y[0] / y[1] - stop.value
-        ev.direction = 1.0
-    else:  # c1_target
-        def ev(t, y):
-            return y[0] - stop.value
-        ev.direction = 1.0
-    ev.terminal = True
-    return ev
-
-
 def integrate(state0: PlantState, u, p: PlantParams, stop: StopCondition,
-              spec: ProcessSpec, *, rtol: float = RTOL_DEFAULT,
-              record: bool = True) -> Trajectory:
-    """Integrate the plant under a constant or piecewise control until `stop`.
+              spec: ProcessSpec, *, record: bool = True) -> Trajectory:
+    """Run the plant under a constant or piecewise control until `stop`.
 
-    `u` is a float (constant arc) or a sequence of (t_until, u) segments; the
-    stop condition applies on the final segment.  The returned trajectory is
-    sampled on the dt_sample grid plus the exact event point (when `record`).
+    `u` is a float in [0, 1] (constant arc) or a sequence of (t_until, u)
+    segments; the stop condition applies on the final segment.  Every arc is
+    propagated in closed form (dfrto.arc).  The returned trajectory holds the
+    start and the stop point, or (when `record`) the dt_sample grid from the
+    start plus the exact stop point.  An event stop that already holds at the
+    start of its arc stops there.
 
-    Raises SimulationTimeout if t_max is hit first and StallError if the flux
-    reaches zero while concentrating (u < 1).
+    Raises SimulationTimeout if the stop lies beyond t_max or is never reached
+    (a c1_target or switch stop at u = 1, an event behind the flux stall, a
+    time after c1 has grown without bound) and StallError if the flux is not
+    positive at the start of a concentrating arc (u < 1).
     """
     if isinstance(u, (int, float)):
         segments = [(math.inf, float(u))]
@@ -321,85 +313,87 @@ def integrate(state0: PlantState, u, p: PlantParams, stop: StopCondition,
     for i, (t_until, u_val) in enumerate(segments):
         last = i == len(segments) - 1
         seg_stop = stop if last else StopCondition.at_time(min(t_until, spec.t_max))
-        parts.append(_integrate_const(state, u_val, p, seg_stop, spec,
-                                      rtol=rtol, record=record))
+        parts.append(_integrate_const(state, u_val, p, seg_stop, spec, record=record))
         state = parts[-1].final_state()
     return Trajectory.concat(parts) if len(parts) > 1 else parts[0]
 
 
+def _stop_event(arc: Arc, stop: StopCondition, p: PlantParams) -> tuple[float, float, float]:
+    """(t, x, v) where the arc meets an event stop; t = +inf when it never does."""
+    never = (math.inf, math.nan, math.nan)
+    if stop.kind == "ratio":
+        t, x, v = arc.ratio_event(math.log(stop.value))
+        return float(t), float(x), float(v)
+    if arc.frozen:      # c1 stays put and the switching function only rises
+        return never
+    if stop.kind == "c1_target":
+        y = max(math.log(stop.value) - arc.x0, 0.0)
+    else:
+        # S = ps.p1 - ps.p2*x - ps.p3*v - ps.p2 - ps.p3 falls by `slope` per unit Y
+        ps = stop.switch_params if stop.switch_params is not None else p
+        s0 = ps.p1 - ps.p2 * arc.x0 - ps.p3 * arc.v0 - ps.p2 - ps.p3
+        slope = ps.p2 - ps.p3 * arc.k
+        if s0 <= 0.0:
+            y = 0.0
+        elif slope > 0.0:
+            y = s0 / slope
+        else:
+            return never
+    t, x, v = arc.at_y(y)
+    return float(t), float(x), float(v)
+
+
 def _integrate_const(state0: PlantState, u: float, p: PlantParams,
                      stop: StopCondition, spec: ProcessSpec, *,
-                     rtol: float = RTOL_DEFAULT, record: bool = True) -> Trajectory:
-    if u < 0.0:
-        raise DomainError("control ratio u must be nonnegative")
-    m = spec.mass
+                     record: bool = True) -> Trajectory:
+    if not 0.0 <= u <= 1.0:
+        raise DomainError(f"control ratio u must lie in [0, 1], got {u}")
     t0 = state0.t
-    if u < 1.0 and flux(state0.c1, state0.c2, p) <= 0.0:
+    arc = Arc(t0, math.log(state0.c1), math.log(state0.c2), u,
+              p.p1, p.p2, p.p3, spec.mass)
+    q0 = float(arc.q0)
+    if u < 1.0 and q0 <= 0.0:
         raise StallError(
             f"flux nonpositive at the start of a concentrating arc (t={t0:.4f} h)")
-
-    def f(t, y):
-        q = p.p1 - p.p2 * math.log(y[0]) - p.p3 * math.log(y[1])
-        return (y[0] * y[0] * q * (1.0 - u) / m, -y[0] * y[1] * q * u / m)
 
     if stop.kind == "time":
         if stop.value < t0 - 1e-15:
             raise ConfigError(f"stop time {stop.value} precedes state time {t0}")
-        t_end = min(stop.value, spec.t_max)
         if stop.value > spec.t_max:
             raise SimulationTimeout(
                 f"stop time {stop.value} h exceeds t_max {spec.t_max} h")
+        t_stop = stop.value
+        if t_stop <= t0 + 1e-15:
+            return Trajectory(np.array([t0]), np.array([state0.c1]),
+                              np.array([state0.c2]), np.array([u]), np.array([q0]))
+        y_hi = 0.0 if arc.frozen else float(arc.y_bound(t_stop))
+        if not y_hi < math.inf:
+            raise SimulationTimeout(
+                f"c1 grows without bound before t={t_stop} h on this arc")
     else:
-        t_end = spec.t_max
+        t_stop, x_ev, v_ev = _stop_event(arc, stop, p)
+        if not t_stop <= spec.t_max:
+            raise SimulationTimeout(
+                f"stop condition {stop.kind!r} not reached by t_max={spec.t_max} h")
+        y_hi = x_ev - arc.x0
 
-    events = []
-    ev = _event_fn(stop, p, spec)
-    if ev is not None:
-        events.append(ev)
-
-    stall_ev = None
-    if u < 1.0:
-        def stall_fn(t, y):
-            return p.p1 - p.p2 * math.log(y[0]) - p.p3 * math.log(y[1])
-        stall_fn.terminal = True
-        stall_fn.direction = -1.0
-        stall_ev = stall_fn
-        events.append(stall_fn)
-
-    if t_end <= t0 + 1e-15 and stop.kind == "time":
-        # zero-length horizon
-        q0 = flux(state0.c1, state0.c2, p)
-        one = np.array([t0]), np.array([state0.c1]), np.array([state0.c2])
-        return Trajectory(one[0], one[1], one[2], np.array([u]), np.array([q0]))
-
-    sol = solve_ivp(f, (t0, t_end), (state0.c1, state0.c2), method="RK45",
-                    rtol=rtol, atol=(1e-10, 1e-12), dense_output=True,
-                    events=events or None)
-    if not sol.success:
-        raise SimulationTimeout(f"integrator failed: {sol.message}")
-
-    event_time = None
-    if ev is not None and sol.t_events[0].size:
-        event_time = float(sol.t_events[0][0])
-    if stall_ev is not None:
-        idx = len(events) - 1
-        if sol.t_events[idx].size and event_time is None:
-            raise StallError(
-                f"flux reached zero at t={sol.t_events[idx][0]:.4f} h on a concentrating arc")
-    if ev is not None and event_time is None:
-        raise SimulationTimeout(
-            f"stop condition {stop.kind!r} not reached by t_max={spec.t_max} h")
-
-    t_stop = event_time if event_time is not None else t_end
     if record:
         dt = spec.dt_h
         n = int(math.floor((t_stop - t0) / dt + 1e-9))
         ts = t0 + dt * np.arange(n + 1)
         if t_stop - ts[-1] > 1e-12:
             ts = np.append(ts, t_stop)
+        else:
+            ts[-1] = t_stop
     else:
         ts = np.array([t0, t_stop]) if t_stop > t0 else np.array([t0])
-    ys = sol.sol(ts)
-    c1s, c2s = ys[0], ys[1]
-    qs = p.p1 - p.p2 * np.log(c1s) - p.p3 * np.log(c2s)
-    return Trajectory(ts, c1s, c2s, np.full_like(ts, u), qs, event_time=event_time)
+    x, v = arc.states(ts, y_hi)
+    event = stop.kind != "time"
+    if event:
+        x[-1], v[-1] = x_ev, v_ev
+    # relative to the start, so that a state that does not move stays exact
+    c1s = state0.c1 * np.exp(x - arc.x0)
+    c2s = state0.c2 * np.exp(v - arc.v0)
+    qs = p.p1 - p.p2 * x - p.p3 * v
+    return Trajectory(ts, c1s, c2s, np.full_like(ts, u), qs,
+                      event_time=t_stop if event else None)

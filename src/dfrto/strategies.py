@@ -15,11 +15,13 @@ On the adaptive singular arc the plant is propagated in closed form (arc.py):
 the states at a block of sampling instants come from one vectorized solve and
 the ratio event from its exact expression, so no step size or event tolerance
 is involved.  realized_batch_times evaluates committed decisions with the same
-arc formulas.
+arc formulas, and so does process.integrate, which runs the committed decisions
+of the open-loop strategies.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,7 +52,9 @@ def realized_batch_times(P, t1_commit: float, u_commit: float,
     p1, p2, p3 = P[:, 0], P[:, 1], P[:, 2]
     ln_rf = math.log(spec.ratio_f)
     conc = Arc(0.0, math.log(spec.c1_0), math.log(spec.c2_0), 0.0, p1, p2, p3, spec.mass)
-    x_a, v_a = conc.states(t1_commit, ln_rf)
+    # at u = 0, r = p2/q0 > 0 wherever the plant moves, so the stall
+    # asymptote brackets every row
+    x_a, v_a = conc.states(t1_commit, math.inf)
     sing = Arc(t1_commit, x_a, v_a, u_commit, p1, p2, p3, spec.mass)
     return sing.ratio_event(ln_rf)[0]
 
@@ -88,8 +92,12 @@ class StrategyDecision:
             raise ConfigError("u_s_commit must be in (0, 1]")
 
 
-def _plan_tf(p: PlantParams, spec: ProcessSpec) -> float:
-    return float(plan_vectorized(p.as_array()[None, :], spec)["tf"][0])
+@functools.lru_cache(maxsize=16)
+def _plan(p: PlantParams, spec: ProcessSpec) -> tuple[float, float, float]:
+    """(t1, u_s, tf) of the clairvoyant plan.  Cached: every strategy of a
+    paired batch needs the optimum of the same truth."""
+    plan = plan_vectorized(p.as_array()[None, :], spec)
+    return float(plan["t1"][0]), float(plan["us"][0]), float(plan["tf"][0])
 
 
 def _dilute_to_target(end: PlantState, spec: ProcessSpec) -> tuple[PlantState, bool]:
@@ -104,7 +112,7 @@ def _finish_batch(strategy: str, p_true: PlantParams, spec: ProcessSpec,
                   decision: StrategyDecision, *, record: bool,
                   reopt_count: int = 0, box_history=None) -> BatchResult:
     """Run the committed decision on the plant with ratio feedback."""
-    tf_opt = _plan_tf(p_true, spec)
+    tf_opt = _plan(p_true, spec)[2]
     try:
         arc1 = integrate(spec.initial_state(), 0.0, p_true,
                          StopCondition.at_time(decision.t1_commit), spec, record=record)
@@ -130,9 +138,9 @@ def _finish_batch(strategy: str, p_true: PlantParams, spec: ProcessSpec,
 def optimal_strategy(p_true: PlantParams, spec: ProcessSpec, *,
                      record: bool = False) -> BatchResult:
     """Clairvoyant baseline: plan and run at the true parameters."""
-    plan = plan_vectorized(p_true.as_array()[None, :], spec)
-    decision = StrategyDecision(float(plan["t1"][0]), float(plan["us"][0]))
-    return _finish_batch("optimal", p_true, spec, decision, record=record)
+    t1, us, _ = _plan(p_true, spec)
+    return _finish_batch("optimal", p_true, spec, StrategyDecision(t1, us),
+                         record=record)
 
 
 def nominal_decision(P0: ParamBox, spec: ProcessSpec) -> StrategyDecision:
@@ -344,7 +352,7 @@ def adaptive_strategy(P0: ParamBox, p_true: PlantParams, spec: ProcessSpec,
     if isinstance(noise, np.random.Generator):
         noise = NoiseStream(noise, spec.sigma)
     est = OnlineBoxEstimator(P0, spec.sigma)
-    tf_opt = _plan_tf(p_true, spec)
+    tf_opt = _plan(p_true, spec)[2]
     dt = spec.dt_h
     m = spec.mass
     rf = spec.ratio_f
@@ -437,7 +445,7 @@ def adaptive_strategy(P0: ParamBox, p_true: PlantParams, spec: ProcessSpec,
         if filled < block:
             t_event = t_ev
         ts = ts[:filled]
-        lc1, lc2 = arc.states(ts, ln_rf)
+        lc1, lc2 = arc.states(ts, arc.ratio_y(ln_rf))
         if filled > 0:
             q_true = p1t - p2t * lc1 - p3t * lc2
             rows = np.column_stack([np.ones(filled), -lc1, -lc2])

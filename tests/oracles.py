@@ -1,15 +1,18 @@
 """Independent numerical oracles used only by the test suite.
 
-Deliberately naive implementations: fixed-step RK4, dense grid feasibility
-scans, and vertex enumeration.  They must not share code with the package.
+Deliberately naive implementations: fixed-step RK4, an event-detecting
+adaptive ODE solve, dense grid feasibility scans, and vertex enumeration.
+They must not share code with the package.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 
 def _deriv(c1, c2, V, u, p, mass):
@@ -63,6 +66,73 @@ def rk4_event_time(state0, u, p, spec, event, h=1e-4, t_max=None):
             return t + frac * h
         t, c1, c2, g_prev = t + h, c1n, c2n, g
     raise AssertionError("oracle: event not reached before t_max")
+
+
+@dataclass
+class OdeArc:
+    """Result of ode_integrate: samples (t, c1, c2, q) and the stop event time."""
+
+    t: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+    q: np.ndarray
+    event_time: float | None
+
+
+def ode_integrate(state0, u, p, spec, stop, value=math.nan, *, switch_params=None,
+                  record=False, rtol=1e-11):
+    """The plant under a constant control u from state0 until a stop, by RK45.
+
+    stop is "time" (at t = value), "c1_target" (c1 rises to value), "ratio"
+    (c1/c2 rises to value) or "switch" (the flux of switch_params, default p,
+    falls to its p2 + p3).  Returns the start and the stop point, or with
+    `record` the dt_sample grid from the start plus the stop point.  Raises
+    AssertionError when the event is not reached by spec.t_max.
+    """
+    m = spec.mass
+
+    def flux(c1, c2, pp):
+        return pp.p1 - pp.p2 * math.log(c1) - pp.p3 * math.log(c2)
+
+    def f(t, y):
+        q = flux(y[0], y[1], p)
+        return (y[0] * y[0] * q * (1.0 - u) / m, -y[0] * y[1] * q * u / m)
+
+    events = None
+    if stop == "c1_target":
+        def ev(t, y):
+            return y[0] - value
+    elif stop == "ratio":
+        def ev(t, y):
+            return y[0] / y[1] - value
+    elif stop == "switch":
+        ps = switch_params if switch_params is not None else p
+
+        def ev(t, y):
+            return ps.p2 + ps.p3 - flux(y[0], y[1], ps)
+    else:
+        ev = None
+    if ev is not None:
+        ev.terminal, ev.direction = True, 1.0
+        events = [ev]
+    t_end = value if stop == "time" else spec.t_max
+    sol = solve_ivp(f, (state0.t, t_end), (state0.c1, state0.c2), method="RK45",
+                    rtol=rtol, atol=(1e-12, 1e-14), dense_output=True, events=events)
+    assert sol.success, sol.message
+    event_time = None
+    if events is not None:
+        assert sol.t_events[0].size, f"oracle: {stop} not reached by t_max"
+        event_time = t_end = float(sol.t_events[0][0])
+    if record:
+        n = int(math.floor((t_end - state0.t) / spec.dt_h + 1e-9))
+        ts = state0.t + spec.dt_h * np.arange(n + 1)
+        if t_end - ts[-1] > 1e-12:
+            ts = np.append(ts, t_end)
+    else:
+        ts = np.array([state0.t, t_end])
+    c1, c2 = sol.sol(ts)
+    q = p.p1 - p.p2 * np.log(c1) - p.p3 * np.log(c2)
+    return OdeArc(ts, c1, c2, q, event_time)
 
 
 def grid_feasible_box(rows, q_values, sigma, prior, n=101):

@@ -1,4 +1,4 @@
-"""Closed-form constant-control arcs against the RK4 oracle and the ODE solver."""
+"""Closed-form constant-control arcs against the RK4 and ODE oracles."""
 
 import math
 
@@ -7,10 +7,9 @@ import pytest
 from scipy.integrate import quad
 
 from dfrto.arc import Arc, _ArcIntegral
-from dfrto.process import (TOL_EVENT, PlantParams, PlantState, StopCondition,
-                           integrate)
+from dfrto.process import TOL_EVENT, PlantParams, PlantState
 from dfrto.strategies import NoiseStream, adaptive_strategy
-from oracles import rk4_event_time, rk4_integrate
+from oracles import ode_integrate, rk4_event_time, rk4_integrate
 
 START = PlantState(2.5, 225.0, 50.0)      # roughly where a singular arc begins
 
@@ -21,7 +20,8 @@ def _arc(state, u, p, spec):
 
 
 def _states(state, u, p, spec, ts):
-    x, v = _arc(state, u, p, spec).states(np.asarray(ts), math.log(spec.ratio_f))
+    arc = _arc(state, u, p, spec)
+    x, v = arc.states(np.asarray(ts), arc.ratio_y(math.log(spec.ratio_f)))
     return np.exp(x), np.exp(v)
 
 
@@ -69,10 +69,9 @@ def test_states_match_integrate(spec, name):
     ts = START.t + np.array([1.0 / 3600.0, 0.1, 0.7, 1.3])
     c1, c2 = _states(START, u, p, spec, ts)
     for t, a, b in zip(ts, c1, c2):
-        end = integrate(START, u, p, StopCondition.at_time(t), spec,
-                        rtol=1e-11, record=False).final_state()
-        assert a == pytest.approx(end.c1, rel=1e-8)
-        assert b == pytest.approx(end.c2, rel=1e-8)
+        end = ode_integrate(START, u, p, spec, "time", t)
+        assert a == pytest.approx(end.c1[-1], rel=1e-8)
+        assert b == pytest.approx(end.c2[-1], rel=1e-8)
 
 
 @pytest.mark.parametrize("name", sorted(n for n in ARCS if n != "concentrate"))
@@ -83,12 +82,10 @@ def test_ratio_event_matches_oracles(spec, name):
     assert c1 / c2 == pytest.approx(rf, rel=1e-12)
     t_rk4 = rk4_event_time(START, u, p, spec, lambda a, b: a / b - rf, h=1e-4)
     assert abs(t_ev - t_rk4) <= TOL_EVENT
-    arc = integrate(START, u, p, StopCondition.ratio_reached(rf), spec,
-                    rtol=1e-11, record=False)
+    arc = ode_integrate(START, u, p, spec, "ratio", rf)
     assert abs(t_ev - arc.event_time) <= TOL_EVENT
-    end = arc.final_state()
-    assert c1 == pytest.approx(end.c1, rel=1e-7)
-    assert c2 == pytest.approx(end.c2, rel=1e-7)
+    assert c1 == pytest.approx(arc.c1[-1], rel=1e-7)
+    assert c2 == pytest.approx(arc.c2[-1], rel=1e-7)
 
 
 def test_concentrate_time_to_matches_oracle(spec):
@@ -113,10 +110,9 @@ def test_near_stall_arc(spec):
     ts = START.t + np.array([0.05, 0.5, 2.0, 8.0])
     c1, c2 = _states(START, u, p, spec, ts)
     for t, a, b in zip(ts, c1, c2):
-        end = integrate(START, u, p, StopCondition.at_time(t), spec,
-                        rtol=1e-11, record=False).final_state()
-        assert a == pytest.approx(end.c1, rel=1e-8)
-        assert b == pytest.approx(end.c2, rel=1e-8)
+        end = ode_integrate(START, u, p, spec, "time", t)
+        assert a == pytest.approx(end.c1[-1], rel=1e-8)
+        assert b == pytest.approx(end.c2[-1], rel=1e-8)
     q = p.p1 - p.p2 * np.log(c1) - p.p3 * np.log(c2)
     assert np.all(q > 0.0) and np.all(np.diff(q) < 0.0)
     assert q[-1] < 1e-3 * q[0]
@@ -149,7 +145,7 @@ def test_arc_integral_matches_quadrature(r):
 def test_arc_integral_inverse_round_trip():
     arc = Arc(0.0, 0.0, 0.0, 0.5, 4.0, 1.0, 0.5, 1.0)     # r = 0.125, T = 0.5
     ts = np.linspace(0.0, 0.2, 9)
-    x, _ = arc.states(ts, math.log(1e6))
+    x, _ = arc.states(ts, arc.ratio_y(math.log(1e6)))
     np.testing.assert_allclose(arc.time_to(x), ts, rtol=0.0, atol=1e-13)
 
 

@@ -13,7 +13,7 @@ from dfrto.policy import (DILUTE, PolicyParams, arcs_from_policy,
                           switching_function)
 from dfrto.process import (PlantParams, PlantState, ProcessSpec, StopCondition,
                            integrate)
-from oracles import rk4_event_time
+from oracles import ode_integrate, rk4_event_time
 
 
 def test_switching_function_values(p_nom1):
@@ -51,10 +51,14 @@ def test_switch_times_case2(p_nom2, spec):
 
 
 def test_switch_times_backends_agree(p_nom2, spec):
-    pa = compute_switch_times(p_nom2, spec, backend="analytic")
-    pi = compute_switch_times(p_nom2, spec, backend="integrate")
-    assert pa.t1 == pytest.approx(pi.t1, abs=1e-6)
-    assert pa.tf == pytest.approx(pi.tf, abs=1e-6)
+    # the closed-form t1/tf against the ODE oracle's switch and ratio events
+    pa = compute_switch_times(p_nom2, spec)
+    arc1 = ode_integrate(spec.initial_state(), 0.0, p_nom2, spec, "switch")
+    start = PlantState(arc1.event_time, arc1.c1[-1], arc1.c2[-1])
+    arc2 = ode_integrate(start, singular_control(p_nom2), p_nom2, spec, "ratio",
+                         spec.ratio_f)
+    assert pa.t1 == pytest.approx(arc1.event_time, abs=1e-6)
+    assert pa.tf == pytest.approx(arc2.event_time, abs=1e-6)
 
 
 def test_switch_times_vs_oracle(p_nom1, spec):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from dfrto.errors import ConfigError, DomainError, SimulationTimeout, StallError
 from dfrto.process import (PlantParams, PlantState, ProcessSpec, StopCondition,
                            dilute, flux, integrate, measure, rhs)
-from oracles import rk4_event_time, rk4_integrate
+from dfrto.policy import compute_switch_times, singular_control
+from oracles import ode_integrate, rk4_event_time, rk4_integrate
 
 P1C = PlantParams(20.7233, 3.0, 0.0)
 
@@ -149,6 +150,135 @@ def test_piecewise_control(spec):
     _, c1e, c2e, _ = rk4_integrate(PlantState(t_mid, c1m, c2m), 1.0, P1C, spec, 2.0, h=1e-4)
     assert end.c1 == pytest.approx(c1e, rel=1e-5)
     assert end.c2 == pytest.approx(c2e, rel=1e-5)
+
+
+# --- closed-form integrate against the independent ODE oracle -----------------
+
+P_GEN = PlantParams(20.7233, 3.0, 0.3)
+START = PlantState(0.0, 50.0, 50.0)
+# a reachable value of each stop kind for each control; at u = 1 c1 is frozen,
+# so c1_target and switch stops are never reached there
+STOPS = {
+    0.0: {"time": 2.0, "c1_target": 200.0, "ratio": 4.0, "switch": math.nan},
+    0.6: {"time": 3.0, "c1_target": 100.0, "ratio": 10.0, "switch": math.nan},
+    1.0: {"time": 4.0, "ratio": 10.0},
+}
+CONDITIONS = {"time": StopCondition.at_time, "c1_target": StopCondition.c1_reached,
+              "ratio": StopCondition.ratio_reached,
+              "switch": lambda _: StopCondition.switch_crossing()}
+
+
+def _assert_matches_ode(traj, ref, record):
+    assert traj.t.size == ref.t.size
+    np.testing.assert_allclose(traj.t, ref.t, rtol=0.0, atol=1e-8)
+    np.testing.assert_allclose(traj.c1, ref.c1, rtol=1e-8)
+    np.testing.assert_allclose(traj.c2, ref.c2, rtol=1e-8)
+    np.testing.assert_allclose(traj.q, ref.q, rtol=1e-8, atol=1e-10)
+    if ref.event_time is None:
+        assert traj.event_time is None
+    else:
+        assert traj.event_time == pytest.approx(ref.event_time, abs=1e-8)
+        assert traj.t[-1] == traj.event_time
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("u,kind", [(u, k) for u in STOPS for k in STOPS[u]])
+def test_integrate_matches_ode_oracle(spec, u, kind, record):
+    value = STOPS[u][kind]
+    traj = integrate(START, u, P_GEN, CONDITIONS[kind](value), spec, record=record)
+    ref = ode_integrate(START, u, P_GEN, spec, kind, value, record=record)
+    _assert_matches_ode(traj, ref, record)
+
+
+@pytest.mark.parametrize("kind", ["c1_target", "switch"])
+def test_frozen_arc_never_meets_c1_stops(spec, kind):
+    with pytest.raises(SimulationTimeout):
+        integrate(START, 1.0, P_GEN, CONDITIONS[kind](200.0), spec)
+
+
+@pytest.mark.parametrize("u", [0.0, 0.6])
+def test_switch_params_differ_from_plant(spec, u):
+    ps = PlantParams(21.0, 3.1, 0.2)
+    traj = integrate(START, u, P_GEN, StopCondition.switch_crossing(ps), spec,
+                     record=False)
+    ref = ode_integrate(START, u, P_GEN, spec, "switch", switch_params=ps)
+    _assert_matches_ode(traj, ref, False)
+    end = traj.final_state()
+    assert flux(end.c1, end.c2, ps) == pytest.approx(ps.p2 + ps.p3, rel=1e-12)
+    assert flux(end.c1, end.c2, P_GEN) != pytest.approx(P_GEN.p2 + P_GEN.p3, rel=1e-3)
+
+
+def test_recorded_grid_is_samples_plus_event(spec):
+    traj = integrate(START, 0.6, P_GEN, StopCondition.ratio_reached(10.0), spec)
+    n = traj.t.size - 1
+    np.testing.assert_array_equal(traj.t[:-1], START.t + spec.dt_h * np.arange(n))
+    assert 0.0 < traj.t[-1] - traj.t[-2] <= spec.dt_h
+    assert traj.t[-1] == traj.event_time
+    assert traj.c1[-1] / traj.c2[-1] == pytest.approx(10.0, rel=1e-13)
+    short = integrate(START, 0.6, P_GEN, StopCondition.ratio_reached(10.0), spec,
+                      record=False)
+    assert short.t.tolist() == [START.t, traj.event_time]
+    assert short.final_state() == traj.final_state()
+
+
+def test_piecewise_profile_with_event_vs_ode(spec):
+    profile = [(1.0, 0.0), (2.0, 0.6), (math.inf, 0.9)]
+    traj = integrate(START, profile, P_GEN, StopCondition.ratio_reached(100.0), spec)
+    state = START
+    for (t_until, u), last in zip(profile, (False, False, True)):
+        ref = (ode_integrate(state, u, P_GEN, spec, "ratio", 100.0) if last
+               else ode_integrate(state, u, P_GEN, spec, "time", t_until))
+        state = PlantState(ref.t[-1], ref.c1[-1], ref.c2[-1])
+    assert traj.event_time == pytest.approx(ref.event_time, abs=1e-8)
+    assert traj.final_state().c1 == pytest.approx(state.c1, rel=1e-8)
+    assert traj.final_state().c2 == pytest.approx(state.c2, rel=1e-8)
+    # each segment is sampled from its own start, which repeats the end of the
+    # segment before it
+    steps = np.diff(traj.t)
+    assert np.all(steps <= spec.dt_h + 1e-12) and np.sum(steps == 0.0) == 2
+    assert np.all(steps >= 0.0)
+    assert set(np.unique(traj.u)) == {0.0, 0.6, 0.9}
+
+
+def test_integrate_error_types(spec):
+    near_stall = PlantState(2.5, 225.0, 50.0)
+    with pytest.raises(DomainError):
+        integrate(START, -0.1, P_GEN, StopCondition.at_time(1.0), spec)
+    with pytest.raises(DomainError):
+        integrate(START, 1.5, P_GEN, StopCondition.at_time(1.0), spec)
+    with pytest.raises(ConfigError):
+        integrate(near_stall, 0.0, P_GEN, StopCondition.at_time(1.0), spec)
+    for kind, value in (("time", math.nan), ("time", math.inf),
+                        ("c1_target", 0.0), ("ratio", -1.0)):
+        with pytest.raises(ConfigError):
+            StopCondition(kind, value)
+    with pytest.raises(SimulationTimeout):        # stop time beyond t_max
+        integrate(START, 0.0, P_GEN, StopCondition.at_time(spec.t_max + 1.0), spec)
+    with pytest.raises(SimulationTimeout):        # event beyond t_max
+        integrate(START, 0.0, P_GEN, StopCondition.c1_reached(200.0),
+                  ProcessSpec(t_max=1.0))
+    with pytest.raises(SimulationTimeout):        # ratio behind the stall asymptote
+        integrate(near_stall, 0.3, P_GEN, StopCondition.ratio_reached(spec.ratio_f), spec)
+    with pytest.raises(SimulationTimeout):        # the switching function only rises
+        integrate(START, 0.95, P_GEN, StopCondition.switch_crossing(), spec)
+    with pytest.raises(SimulationTimeout):        # c1 grows without bound first
+        integrate(near_stall, 0.95, P_GEN, StopCondition.at_time(50.0), spec)
+    with pytest.raises(StallError):
+        integrate(PlantState(0.0, 1500.0, 50.0), 0.6, P_GEN,
+                  StopCondition.ratio_reached(100.0), spec)
+
+
+@pytest.mark.parametrize("case_name", ["limiting_flux", "generalized"])
+def test_singular_arc_pins_flux_exactly(spec, case_name, request):
+    p = request.getfixturevalue("case1" if case_name == "limiting_flux"
+                                else "case2").nominal_params(spec)
+    pi = compute_switch_times(p, spec)
+    arc1 = integrate(spec.initial_state(), 0.0, p, StopCondition.at_time(pi.t1), spec)
+    arc2 = integrate(arc1.final_state(), singular_control(p), p,
+                     StopCondition.ratio_reached(spec.ratio_f), spec)
+    q_star = p.p2 + p.p3
+    assert np.max(np.abs(arc2.q - q_star)) <= 1e-12 * q_star
+    assert arc2.event_time == pytest.approx(pi.tf, abs=1e-12)
 
 
 def test_dilute_examples():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from dfrto.policy import compute_switch_times, plan_vectorized
+from dfrto.cases import get_case
+from dfrto.harness import ExperimentConfig, monte_carlo
+from dfrto.policy import compute_switch_times, plan_vectorized, singular_control
 from dfrto.process import TOL_EVENT, PlantParams, ProcessSpec
 from dfrto.setmem import ParamBox
 from dfrto.strategies import (AdaptiveConfig, NoiseStream, RobustConfig,
@@ -44,6 +46,26 @@ def test_realized_stall_returns_inf(spec):
     spec_short = ProcessSpec(t_max=30.0)
     tf = realized_batch_times(p.as_array()[None, :], 15.0, 1.0, spec_short)[0]
     assert tf > spec_short.t_max
+
+
+@pytest.mark.parametrize("case_name", ["limiting_flux", "generalized"])
+def test_batch_run_matches_realized_times(spec, case_name):
+    # one monte_carlo chunk runs each committed decision through integrate;
+    # realized_batch_times evaluates the same decisions in closed form
+    case = get_case(case_name)
+    P0 = case.prior_box(spec)
+    cfg = ExperimentConfig(case=case_name, n_batches=12, master_seed=11,
+                           strategies=("optimal", "nominal", "robust"))
+    results = monte_carlo(cfg, spec)
+    u_commit = {"nominal": nominal_decision(P0, spec).u_s_commit,
+                "robust": robust_decision(P0, spec, RobustConfig(),
+                                          scenarios=case.gamma_scenarios(spec)).u_s_commit}
+    for res in results:
+        u = u_commit.get(res.strategy, singular_control(res.p_true))
+        tf = realized_batch_times(res.p_true.as_array()[None, :], res.t1, u, spec)[0]
+        assert abs(res.tf - tf) <= 1e-12
+        if res.strategy == "optimal":
+            assert abs(res.regret) <= 1e-12
 
 
 # --- strategy behaviors -----------------------------------------------------------
