@@ -70,12 +70,8 @@ def _cmd_estimate(args) -> int:
     if not measurements:
         raise ConfigError(f"no measurements in {args.input!r}")
     est = OnlineBoxEstimator(prior, spec.sigma)
-    times, boxes = [], []
-    for m in measurements:
-        est.add(m)
-        times.append(m.t)
-        boxes.append(est.box)
-    write_boxes_csv(args.out, times, boxes)
+    boxes = [est.add(m) for m in measurements]
+    write_boxes_csv(args.out, [m.t for m in measurements], boxes)
     final = est.box
     lo = [round(float(x), 6) for x in final.lo]
     hi = [round(float(x), 6) for x in final.hi]

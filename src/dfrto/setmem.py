@@ -10,8 +10,10 @@ which keeps the basis 3x3 regardless of how many measurements accumulate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -294,7 +296,7 @@ def bound_params(cs: ConstraintSet, prior: ParamBox) -> ParamBox:
 
 
 class _WarmBoundLP:
-    """Six warm-started bound LPs over a growing half-space collection.
+    """Six warm-started bound LPs over a half-space collection.
 
     Dual view: each primal half-space a.p <= b is a column (a, cost b); adding
     a row keeps every stored basis feasible, so re-optimization after a cut
@@ -302,9 +304,22 @@ class _WarmBoundLP:
     columns and provide trivial starting bases.  The optimizer vertex of each
     direction is cached: a new row can move a bound only if it excludes that
     vertex, so rows cutting the box elsewhere are appended without re-solving.
+
+    Rows that no longer cut the box are dropped once the LP outgrows its
+    initial buffer: after a re-solve, and between re-solves whenever the LP
+    has doubled since the last drop (so the test costs O(1) per row and the
+    LP holds at most twice the rows kept then, or one buffer).  A column is
+    dropped when it is basic in none of the six LPs and its half-space holds
+    on the whole box [lo, hi].  The kept basic columns certify the six
+    bounds, so the remaining polytope still lies inside [lo, hi] and hence
+    inside every dropped half-space; since the box only shrinks, a dropped
+    row can never bind again.  The kept columns keep their order, so Bland's
+    rule meets them in the same order as before.  On a concentrate arc c2 is
+    frozen and the p1 and p3 edges do not shrink, so almost every row still
+    cuts the box and the LP grows until the singular arc bounds p3.
     """
 
-    _CAP0 = 256
+    _CAP0 = 512
 
     def __init__(self, prior: ParamBox):
         self.prior = prior
@@ -322,7 +337,8 @@ class _WarmBoundLP:
         for j in range(3):
             for sign in (1.0, -1.0):
                 self._rhs.append(-sign * eye[j])
-                self._basis.append(np.array([3, 4, 5]) if sign > 0 else np.array([0, 1, 2]))
+                self._basis.append([3, 4, 5] if sign > 0 else [0, 1, 2])
+        self._basis = np.array(self._basis)
         lo, hi = prior.lo_arr(), prior.hi_arr()
         # optimizer vertices: lo corner for the min directions, hi for max
         self.x_opt = np.empty((6, 3))
@@ -330,27 +346,37 @@ class _WarmBoundLP:
         self.x_opt[1::2] = hi
         self.lo = lo.copy()
         self.hi = hi.copy()
+        self._compact_at = self._CAP0
 
-    def _append(self, a: np.ndarray, b: float) -> int:
-        if self.m == self._cols.shape[1]:
-            self._cols = np.concatenate([self._cols, np.zeros_like(self._cols)], axis=1)
-            self._cost = np.concatenate([self._cost, np.zeros_like(self._cost)])
-        self._cols[:, self.m] = a
-        self._cost[self.m] = b
-        self.m += 1
-        return self.m - 1
-
-    def append_rows(self, G: np.ndarray, h: np.ndarray) -> None:
-        """Bulk append of half-spaces known not to move any bound."""
-        n = G.shape[0]
-        if n == 0:
-            return
+    def _reserve(self, n: int) -> None:
         while self.m + n > self._cols.shape[1]:
             self._cols = np.concatenate([self._cols, np.zeros_like(self._cols)], axis=1)
             self._cost = np.concatenate([self._cost, np.zeros_like(self._cost)])
-        self._cols[:, self.m:self.m + n] = G.T
-        self._cost[self.m:self.m + n] = h
-        self.m += n
+
+    def _append(self, a: np.ndarray, b: float) -> None:
+        if self.m == self._cols.shape[1]:
+            self._reserve(1)
+        self._cols[:, self.m] = a
+        self._cost[self.m] = b
+        self.m += 1
+        if self.m >= self._compact_at:
+            self._drop_redundant()
+
+    def append_rows(self, G: np.ndarray, h: np.ndarray) -> None:
+        """Bulk append of half-spaces known not to move any bound.
+
+        Compacts at the same row counts as appending one row at a time.
+        """
+        start, n = 0, G.shape[0]
+        while start < n:
+            k = min(n - start, self._compact_at - self.m)
+            self._reserve(k)
+            self._cols[:, self.m:self.m + k] = G[start:start + k].T
+            self._cost[self.m:self.m + k] = h[start:start + k]
+            self.m += k
+            start += k
+            if self.m >= self._compact_at:
+                self._drop_redundant()
 
     def violates(self, G: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Boolean mask: which rows exclude at least one cached optimizer."""
@@ -361,10 +387,13 @@ class _WarmBoundLP:
 
         Returns True when at least one bound moved.
         """
-        viol = np.flatnonzero(self.x_opt @ a > b + 1e-11 * (1.0 + abs(b)))
+        thr = b + 1e-11 * (1.0 + abs(b))
+        # compared as Python floats: numpy's per-call overhead dominates here
+        vals = (self.x_opt @ a).tolist()
         self._append(a, b)
-        if viol.size == 0:
+        if not max(vals) > thr:    # the same test as below, also for NaN
             return False
+        viol = [d for d, v in enumerate(vals) if v > thr]
         A = self._cols[:, : self.m]
         cost = self._cost[: self.m]
         for d in viol:
@@ -381,7 +410,25 @@ class _WarmBoundLP:
                 self.lo[j] = max(-val - pad, self.lo[j])
             else:
                 self.hi[j] = min(val + pad, self.hi[j])
+        if self.m > self._CAP0:
+            self._drop_redundant()
         return True
+
+    def _drop_redundant(self) -> None:
+        """Drop the non-basic rows that hold on the whole box [lo, hi]."""
+        G = self._cols[:, 6: self.m]
+        worst = self.hi @ np.maximum(G, 0.0) + self.lo @ np.minimum(G, 0.0)  # max over box
+        keep = np.ones(self.m, dtype=bool)
+        keep[6:] = worst > self._cost[6: self.m]
+        keep[self._basis.ravel()] = True
+        kept = np.flatnonzero(keep)
+        n = kept.size
+        if n < self.m:
+            self._basis = np.searchsorted(kept, self._basis)
+            self._cols[:, :n] = self._cols.take(kept, axis=1)
+            self._cost[:n] = self._cost.take(kept)
+            self.m = n
+        self._compact_at = max(2 * n, self._CAP0)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return self.lo.copy(), self.hi.copy()
@@ -392,9 +439,14 @@ class OnlineBoxEstimator:
 
     A new half-space can change the bounding box only if it cuts the current
     box; half-spaces satisfied on the whole current box leave the feasible set
-    untouched and — since boxes only shrink — stay redundant forever.  Only
-    cutting rows are kept for the LPs, which keeps full-batch estimation fast
-    while producing exactly the same boxes as solving with every constraint.
+    untouched and — since boxes only shrink — stay redundant forever.  Each
+    measurement's two half-spaces are appended to the LPs, and the rows that
+    no longer cut the box and define none of the six bounds are dropped
+    whenever a bound moves or the LP has doubled (see `_WarmBoundLP`).  The
+    LPs thus hold at most twice the cutting rows or a few hundred rows,
+    which keeps full-batch estimation fast while producing exactly the same
+    boxes as solving with every constraint.  During concentration (c2 frozen) p3
+    keeps its prior edges, so the rows accumulate until the singular arc.
     """
 
     # exact equalities (sigma = 0) make the LP duals degenerate; a tiny floor
@@ -444,8 +496,14 @@ class OnlineBoxEstimator:
         return self.box
 
     def add(self, m: Measurement) -> ParamBox:
-        return self.add_rows(np.array([[1.0, -math.log(m.c1), -math.log(m.c2)]]),
-                             np.array([m.q_m]))
+        """Ingest one measurement; the same boxes as `add_rows` row by row."""
+        if not (0.0 < m.c1 < math.inf and 0.0 < m.c2 < math.inf):
+            raise DomainError("measurement concentrations must be positive and finite")
+        a = np.array((1.0, -math.log(m.c1), -math.log(m.c2)))
+        self._process_moving_row(a, m.q_m + self.sigma)
+        self._process_moving_row(-a, -(m.q_m - self.sigma))
+        self.n_measurements += 1
+        return self.box
 
     def add_rows_stop_on_change(self, A: np.ndarray, q: np.ndarray) -> tuple[int, bool]:
         """Ingest measurements in order, stopping after the first one that
@@ -489,23 +547,55 @@ class OnlineBoxEstimator:
 # --- CSV interfaces --------------------------------------------------------------
 
 def read_measurements_csv(path: str) -> list[Measurement]:
-    out: list[Measurement] = []
+    """Measurements of a CSV with header t,q_m,c1,c2, parsed in one pass.
+
+    Blank lines are skipped; a row that is not four finite numbers raises
+    ConfigError naming its line.
+    """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header != ["t", "q_m", "c1", "c2"]:
             raise ConfigError(f"expected header t,q_m,c1,c2 in {path!r}, got {header}")
-        for line in fh:
+        rows = (line for line in fh if line.strip())
+        first = next(rows, None)
+        if first is None:
+            return []
+        try:
+            data = np.loadtxt(itertools.chain([first], rows), delimiter=",",
+                              comments=None, ndmin=2)
+        except ValueError:
+            data = None
+    if data is None or data.shape[1] != 4 or not np.isfinite(data).all():
+        _raise_bad_row(path)
+    return list(map(Measurement, *data.T.tolist()))
+
+
+def _raise_bad_row(path: str) -> NoReturn:
+    """ConfigError for the first data line that is not four finite numbers."""
+    with open(path) as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            t, q_m, c1, c2 = (float(x) for x in line.split(","))
-            out.append(Measurement(t, q_m, c1, c2))
-    return out
+            try:
+                values = np.loadtxt([line], delimiter=",", comments=None)
+            except ValueError:
+                values = None
+            if values is None or values.size != 4 or not np.isfinite(values).all():
+                raise ConfigError(f"{path}:{lineno}: expected four finite numbers "
+                                  f"t,q_m,c1,c2, got {line.rstrip()!r}")
+    raise ConfigError(f"malformed measurement file {path!r}")
 
 
 def write_boxes_csv(path: str, times, boxes) -> None:
+    """One row per time; a box shared by consecutive rows is formatted once."""
+    last = tail = None
     with open(path, "w") as fh:
         fh.write("t,p1_lo,p1_hi,p2_lo,p2_hi,p3_lo,p3_hi\n")
         for t, box in zip(times, boxes):
-            lo, hi = box.lo, box.hi
-            fh.write(f"{t:.10g},{lo[0]:.10g},{hi[0]:.10g},{lo[1]:.10g},"
-                     f"{hi[1]:.10g},{lo[2]:.10g},{hi[2]:.10g}\n")
+            if box is not last:
+                lo, hi = box.lo, box.hi
+                tail = (f",{lo[0]:.10g},{hi[0]:.10g},{lo[1]:.10g},"
+                        f"{hi[1]:.10g},{lo[2]:.10g},{hi[2]:.10g}\n")
+                last = box
+            fh.write(f"{t:.10g}{tail}")

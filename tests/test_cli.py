@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,30 @@ def test_estimate_model_invalidated(tmp_path):
     rc = run(["estimate", "--input", str(src), "--out", str(out),
               "--case", "limiting_flux"])
     assert rc == 3
+
+
+@pytest.mark.parametrize("row, rc, message", [
+    ("0,abc,50,50", 2, "bad.csv:4:"),
+    ("0,4.2,50", 2, "bad.csv:4:"),
+    ("0,nan,50,50", 2, "bad.csv:4:"),
+    ("0,4.2,0,50", 1, "concentrations must be positive"),
+])
+def test_estimate_bad_row_is_typed(tmp_path, capsys, row, rc, message):
+    src = tmp_path / "bad.csv"
+    src.write_text(f"t,q_m,c1,c2\n0,9.0,50,50\n  \n{row}\n")
+    out = tmp_path / "boxes.csv"
+    assert run(["estimate", "--input", str(src), "--out", str(out)]) == rc
+    assert message in capsys.readouterr().err
+
+
+def test_estimate_header_only(tmp_path, capsys):
+    src = tmp_path / "empty.csv"
+    src.write_text("t,q_m,c1,c2\n\n   \n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["estimate", "--input", str(src), "--out", str(tmp_path / "b.csv")])
+    assert rc == 2
+    assert "no measurements" in capsys.readouterr().err
 
 
 def test_reach_json(tmp_path, capsys):

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from dfrto.errors import (ConfigError, InfeasibleLPError, ModelInvalidatedError,
-                          UnboundedLPError)
-from dfrto.process import Measurement, StopCondition, integrate
+from dfrto.cases import get_case
+from dfrto.errors import (ConfigError, DomainError, InfeasibleLPError,
+                          ModelInvalidatedError, UnboundedLPError)
+from dfrto.process import Measurement, ProcessSpec, StopCondition, integrate
 from dfrto.setmem import (ConstraintSet, OnlineBoxEstimator, ParamBox,
                           add_measurement, bound_params, read_measurements_csv,
                           solve_lp, write_boxes_csv)
+from dfrto.strategies import optimal_strategy
 from oracles import grid_feasible_box, lp_vertex_enumeration
 
 PRIOR = ParamBox((15.0, 2.0, 0.0), (25.0, 4.0, 1.0))
@@ -259,3 +262,129 @@ def test_measurement_csv_roundtrip(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "t,p1_lo,p1_hi,p2_lo,p2_hi,p3_lo,p3_hi"
     assert lines[1].startswith("0.5,15,25,2,4,0,1")
+
+
+def test_measurement_csv_exact_and_blank_lines(tmp_path):
+    rng = np.random.default_rng(4)
+    vals = rng.uniform(0.5, 2.0, (50, 4)) * 10.0 ** rng.integers(-12, 12, (50, 4))
+    lines = [",".join(f"{v:.17g}" for v in row) for row in vals]
+    lines[10:10] = ["", "   ", "\t"]
+    path = tmp_path / "m.csv"
+    path.write_text("t,q_m,c1,c2\n" + "\n".join(lines) + "\n\n")
+    ms = read_measurements_csv(str(path))
+    expect = [Measurement(*(float(x) for x in line.split(",")))
+              for line in lines if line.strip()]
+    assert ms == expect
+
+
+@pytest.mark.parametrize("row", ["0,4.2,50,50,1", "0,4.2,inf,50", "0,4.2,5_0,50"])
+def test_measurement_csv_bad_row_names_line(tmp_path, row):
+    # tests/test_cli.py covers text, short rows and NaN through `dfrto estimate`
+    path = tmp_path / "m.csv"
+    path.write_text(f"t,q_m,c1,c2\n\n{row}\n1,4.2,50,50\n")
+    with pytest.raises(ConfigError, match="m.csv:3:"):
+        read_measurements_csv(str(path))
+
+
+def _boxes_csv_reference(times, boxes) -> str:
+    """The per-line format the bounds CSV has always had."""
+    out = ["t,p1_lo,p1_hi,p2_lo,p2_hi,p3_lo,p3_hi\n"]
+    for t, box in zip(times, boxes):
+        lo, hi = box.lo, box.hi
+        out.append(f"{t:.10g},{lo[0]:.10g},{hi[0]:.10g},{lo[1]:.10g},"
+                   f"{hi[1]:.10g},{lo[2]:.10g},{hi[2]:.10g}\n")
+    return "".join(out)
+
+
+def test_write_boxes_csv_matches_per_line_format(tmp_path):
+    a = ParamBox((15.123456789012, 2.0, 0.0), (25.0, 3.999999999987, 1e-7))
+    b = ParamBox((20.1, 2.5, 0.1), (20.2, 2.6, 0.3))
+    b_again = ParamBox((20.1, 2.5, 0.1), (20.2, 2.6, 0.3))
+    assert b_again == b and b_again is not b
+    times = [0.0, 1 / 3600, 2 / 3600, 12345.678901234]
+    boxes = [a, a, b_again, a]
+    out = tmp_path / "b.csv"
+    write_boxes_csv(str(out), times, boxes)
+    assert out.read_text() == _boxes_csv_reference(times, boxes)
+
+
+# --- one full batch through every ingest path -------------------------------------
+
+@pytest.fixture(scope="module")
+def full_batch():
+    """Noisy flux samples of one optimal generalized-case batch (~3e4 rows)."""
+    spec, case = ProcessSpec(), get_case("generalized")
+    p = case.draw_truth_gamma(np.random.default_rng(5), spec=spec)
+    traj = optimal_strategy(p, spec, record=True).trajectory
+    keep = np.isfinite(traj.u)          # drops the dilution end point
+    keep[0] = False                     # and the initial state
+    c1, c2 = traj.c1[keep], traj.c2[keep]
+    q = traj.q[keep] + np.random.default_rng(6).uniform(-spec.sigma, spec.sigma, c1.size)
+    ms = [Measurement(t, qi, x1, x2)
+          for t, qi, x1, x2 in zip(traj.t[keep].tolist(), q.tolist(), c1.tolist(), c2.tolist())]
+    A = np.array([[1.0, -math.log(m.c1), -math.log(m.c2)] for m in ms])
+    return case.prior_box(spec), spec.sigma, p, ms, A, q
+
+
+def test_ingest_paths_agree_on_full_batch(full_batch):
+    prior, sigma, p, ms, A, q = full_batch
+    single = OnlineBoxEstimator(prior, sigma)
+    boxes = [single.add(m) for m in ms]
+    bulk = OnlineBoxEstimator(prior, sigma)
+    bulk.add_rows(A, q)
+    blocks = OnlineBoxEstimator(prior, sigma)
+    start = 0
+    while start < len(ms):
+        n_used, changed = blocks.add_rows_stop_on_change(A[start:], q[start:])
+        start += n_used
+        if changed:
+            assert blocks.box == boxes[start - 1]
+    for est in (bulk, blocks):
+        assert np.array_equal(est.box.lo_arr(), single.box.lo_arr())
+        assert np.array_equal(est.box.hi_arr(), single.box.hi_arr())
+        assert est.n_lp_rebounds == single.n_lp_rebounds
+        assert est.n_measurements == len(ms)
+    assert single.n_lp_rebounds > 20
+    assert single.box.contains(p)
+    # the kept LP rows stay few: rows that no longer cut the box are dropped
+    for est in (single, bulk, blocks):
+        assert est._lp.m < 1000
+
+
+def _linprog_box(A, q, sigma, prior):
+    G = np.vstack([A, -A])
+    h = np.concatenate([q + sigma, -(q - sigma)])
+    bounds = list(zip(prior.lo, prior.hi))
+    lo, hi = np.empty(3), np.empty(3)
+    for j in range(3):
+        c = np.zeros(3)
+        c[j] = 1.0
+        for sign, out in ((1.0, lo), (-1.0, hi)):
+            res = linprog(sign * c, A_ub=G, b_ub=h, bounds=bounds, method="highs",
+                          options={"primal_feasibility_tolerance": 1e-10,
+                                   "dual_feasibility_tolerance": 1e-10})
+            assert res.status == 0
+            out[j] = res.x[j]
+    return lo, hi
+
+
+def test_compacted_lp_keeps_the_feasible_set(full_batch):
+    """Boxes at three prefixes equal the LP bounds over every half-space."""
+    prior, sigma, _, ms, A, q = full_batch
+    est = OnlineBoxEstimator(prior, sigma)
+    n = len(ms)
+    prefixes = (n // 5, n // 2, n)
+    for k0, k1 in zip((0,) + prefixes, prefixes):
+        for m in ms[k0:k1]:
+            est.add(m)
+        lo, hi = _linprog_box(A[:k1], q[:k1], sigma, prior)
+        assert np.max(np.abs(est.box.lo_arr() - lo)) <= 1e-9
+        assert np.max(np.abs(est.box.hi_arr() - hi)) <= 1e-9
+
+
+def test_add_rejects_nonpositive_concentration():
+    est = OnlineBoxEstimator(PRIOR, 0.1)
+    for c1, c2 in ((0.0, 50.0), (50.0, -1.0), (math.nan, 50.0), (50.0, math.inf)):
+        with pytest.raises(DomainError):
+            est.add(Measurement(0.0, 4.2, c1, c2))
+    assert est.n_measurements == 0 and est._lp.m == 6
