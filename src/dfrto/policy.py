@@ -20,8 +20,8 @@ import numpy as np
 
 from .arc import Arc
 from .errors import ConfigError, DegenerateModelError, UnsupportedStructureError
-from .process import (PlantParams, PlantState, ProcessSpec, StopCondition,
-                      Trajectory, flux, integrate)
+from .process import PlantParams, PlantState, ProcessSpec, flux
+from .process import integrate  # noqa: F401  (perfbench/tracing.py wraps policy.integrate)
 
 DILUTE = math.inf  # control value standing for the instantaneous-dilution mode
 
@@ -54,16 +54,6 @@ class PolicyParams:
             raw = json.load(fh)
         return cls(PlantParams(raw["p1"], raw["p2"], raw["p3"]),
                    raw["t1"], raw["t2"], raw["tf"])
-
-
-@dataclass(frozen=True)
-class ControlArc:
-    """One arc of the policy; the dilute arc has zero duration."""
-
-    kind: str  # "concentrate" | "singular" | "dilute"
-    start: float
-    end: float
-    u_value: float
 
 
 def switching_function(state: PlantState, p: PlantParams) -> float:
@@ -142,39 +132,3 @@ def compute_switch_times(p: PlantParams, spec: ProcessSpec) -> PolicyParams:
             f"target {spec.c1_f} g/L: dilution cannot reach the final state")
     t1, tf = float(plan["t1"][0]), float(plan["tf"][0])
     return PolicyParams(p, t1, tf, tf)
-
-
-def arcs_from_policy(pi: PolicyParams) -> list[ControlArc]:
-    return [
-        ControlArc("concentrate", 0.0, pi.t1, 0.0),
-        ControlArc("singular", pi.t1, pi.t2, singular_control(pi.p)),
-        ControlArc("dilute", pi.t2, pi.t2, DILUTE),
-    ]
-
-
-def evaluate_policy(t: float, state: PlantState, pi: PolicyParams) -> float:
-    """Step-wise control law: 0 before t1, u_s on [t1, t2), DILUTE (inf) at t2."""
-    if t > pi.tf + 1e-12:
-        raise ConfigError(f"t={t} beyond final time {pi.tf}")
-    if t < pi.t1:
-        return 0.0
-    if t < pi.t2:
-        return singular_control(pi.p)
-    return DILUTE
-
-
-def simulate_policy(pi: PolicyParams, spec: ProcessSpec, *,
-                    record: bool = True) -> Trajectory:
-    """Open-loop replay of a committed policy on the plant with the same params."""
-    from .process import dilute as _dilute  # local to avoid name clash
-
-    arc1 = integrate(spec.initial_state(), 0.0, pi.p,
-                     StopCondition.at_time(pi.t1), spec, record=record)
-    us = singular_control(pi.p)
-    arc2 = integrate(arc1.final_state(), us, pi.p,
-                     StopCondition.at_time(pi.t2), spec, record=record)
-    end = arc2.final_state()
-    final = _dilute(end, min(spec.c1_f, end.c1))
-    tail = Trajectory(np.array([final.t]), np.array([final.c1]), np.array([final.c2]),
-                      np.array([DILUTE]), np.array([flux(final.c1, final.c2, pi.p)]))
-    return Trajectory.concat([arc1, arc2, tail])

@@ -75,10 +75,6 @@ class PlantParams:
     def as_array(self) -> np.ndarray:
         return np.array([self.p1, self.p2, self.p3], dtype=float)
 
-    def scaled(self, alpha: float) -> "PlantParams":
-        """Multiply the whole flux law by alpha > 0 (times scale by 1/alpha)."""
-        return PlantParams(alpha * self.p1, alpha * self.p2, alpha * self.p3)
-
 
 @dataclass(frozen=True)
 class PlantState:

@@ -2,10 +2,18 @@
 
 Each flux sample q_m at exactly known concentrations gives two half-spaces
     q_m - sigma <= p1 - p2*ln(c1) - p3*ln(c2) <= q_m + sigma,
-so the feasible parameter set is a polytope; its per-coordinate bounding box
-is obtained from six small linear programs.  The LP solver is a dense revised
-simplex with Bland's rule (deterministic, anti-cycling) working on the dual,
-which keeps the basis 3x3 regardless of how many measurements accumulate.
+so the feasible parameter set is the prior box cut by a polytope, and the
+estimator reports its per-coordinate bounding box.
+
+While every sample shares one c2 (the concentrate arc, where u = 0 freezes
+c2) the rows constrain only theta = p1 - ln(c2)*p3 and p2: the feasible set
+is a cylinder over an exact 2-D polygon, clipped sample by sample, and the box
+follows in closed form (Walter & Piet-Lahanier, "Exact recursive polyhedral
+description of the feasible parameter set for bounded-error models", IEEE TAC
+34(8), 1989).  The first sample with another c2 lifts the polygon's few edges
+into six warm-started bound LPs.  The LP solver is a dense revised simplex
+with Bland's rule (deterministic, anti-cycling) working on the dual, which
+keeps the basis 3x3 regardless of how many measurements accumulate.
 """
 
 from __future__ import annotations
@@ -18,10 +26,11 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import (ConfigError, DomainError, InfeasibleLPError,
-                     ModelInvalidatedError, UnboundedLPError)
+                     ModelInvalidatedError)
 from .process import Measurement, PlantParams
 
 _LP_TOL = 1e-9
+_INCONSISTENT = "constraints inconsistent with noise bound or model structure"
 
 
 @dataclass(frozen=True)
@@ -97,157 +106,23 @@ class ParamBox:
         return lo + u * (hi - lo)
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Append-only measurement constraints: rows (1, -ln c1, -ln c2, q_m).
-
-    Instances share a common backing list so that appending is O(1); each
-    instance is an immutable prefix view of length `k`.
-    """
-
-    sigma: float
-    _rows: list
-    k: int
-
-    @classmethod
-    def empty(cls, sigma: float) -> "ConstraintSet":
-        if sigma < 0.0:
-            raise ConfigError("sigma must be nonnegative")
-        return cls(sigma, [], 0)
-
-    def __len__(self) -> int:
-        return self.k
-
-    @property
-    def n_constraints(self) -> int:
-        """Two half-spaces per measurement."""
-        return 2 * self.k
-
-    def regressors(self) -> np.ndarray:
-        """Array (k, 4) of rows (1, -ln c1, -ln c2, q_m)."""
-        if self.k == 0:
-            return np.empty((0, 4))
-        return np.asarray(self._rows[: self.k], dtype=float)
-
-    def halfspaces(self) -> tuple[np.ndarray, np.ndarray]:
-        """(G, h) with G p <= h encoding |q_m - a.p| <= sigma, shape (2k, 3)."""
-        rows = self.regressors()
-        A, q = rows[:, :3], rows[:, 3]
-        G = np.vstack([A, -A])
-        h = np.concatenate([q + self.sigma, -(q - self.sigma)])
-        return G, h
-
-
-def add_measurement(cs: ConstraintSet, m: Measurement) -> ConstraintSet:
-    """Append the two half-spaces of one measurement; returns the longer view."""
-    if m.c1 <= 0.0 or m.c2 <= 0.0:
-        raise DomainError("measurement concentrations must be positive")
-    if len(cs._rows) != cs.k:
-        # branched history: copy-on-write
-        rows = list(cs._rows[: cs.k])
-    else:
-        rows = cs._rows
-    rows.append((1.0, -math.log(m.c1), -math.log(m.c2), m.q_m))
-    return ConstraintSet(cs.sigma, rows, cs.k + 1)
-
-
 # --- dense simplex -------------------------------------------------------------
 
-def solve_lp(objective, halfspaces, box: ParamBox, *, maximize: bool = False,
-             tol: float = _LP_TOL) -> tuple[np.ndarray, float]:
-    """Optimize a linear objective over {G p <= h} intersected with a box.
-
-    `halfspaces` is (G, h) or an empty sequence.  Returns (argmin, value); with
-    maximize=True the sign conventions flip.  Deterministic: Bland's rule with
-    lowest-index entering/leaving selection.  Raises InfeasibleLPError when the
-    feasible region is empty and UnboundedLPError for an unbounded objective
-    (impossible while the box is bounded).
-    """
-    c = np.asarray(objective, dtype=float)
-    if c.shape != (3,):
-        raise ConfigError("objective must be a 3-vector")
-    if maximize:
-        x, v = solve_lp(-c, halfspaces, box, tol=tol)
-        return x, -v
-
-    if halfspaces is None or (isinstance(halfspaces, (tuple, list)) and len(halfspaces) == 0):
-        G = np.empty((0, 3))
-        h = np.empty(0)
-    else:
-        G, h = halfspaces
-        G = np.asarray(G, dtype=float).reshape(-1, 3)
-        h = np.asarray(h, dtype=float).reshape(-1)
-    lo, hi = box.lo_arr(), box.hi_arr()
-    eye = np.eye(3)
-    A = np.vstack([G, eye, -eye])                 # A p <= b, box rows appended
-    b = np.concatenate([h, hi, -lo])
-
-    # Dual in standard form: min b'z  s.t.  A' z = -c, z >= 0.  Its optimal
-    # basis names the three active primal constraints.
-    basis, z_b = _primal_simplex(A.T.copy(), -c.copy(), b, tol)
-    x = np.linalg.solve(A[basis], b[basis])
-    value = float(c @ x)
-    dual_value = float(b[basis] @ z_b)
-    if abs(value + dual_value) > 1e-6 * (1.0 + abs(value)):
-        raise InfeasibleLPError("duality gap: LP solve inconsistent")
-    return x, value
-
-
-def _primal_simplex(A_eq: np.ndarray, d: np.ndarray, cost: np.ndarray,
-                    tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """min cost'z s.t. A_eq z = d, z >= 0 (A_eq is 3 x m); returns (basis, z_B).
-
-    Phase 1 with three artificials, phase 2 with Bland's rule throughout.
-    Infeasibility of this problem means the original primal is unbounded;
-    unboundedness here means the original primal is infeasible.
-    """
-    n_rows, m = A_eq.shape
-    sign = np.where(d < 0.0, -1.0, 1.0)
-    A1 = A_eq * sign[:, None]
-    d1 = d * sign
-
-    art = np.arange(m, m + n_rows)
-    A_full = np.hstack([A1, np.eye(n_rows)])
-    cost1 = np.concatenate([np.zeros(m), np.ones(n_rows)])
-    basis, z_b = _simplex_iterate(A_full, d1.copy(), cost1, art.copy(), tol,
-                                  allow_unbounded=False)
-    if float(cost1[basis] @ z_b) > 1e-7:
-        raise UnboundedLPError("dual infeasible: primal LP unbounded")
-    # drive any residual artificial (at zero level) out of the basis
-    for i in range(n_rows):
-        if basis[i] >= m:
-            B = A_full[:, basis]
-            Binv_row = np.linalg.solve(B.T, np.eye(n_rows)[:, i])
-            row = Binv_row @ A1
-            candidates = np.flatnonzero(np.abs(row) > 1e-9)
-            candidates = [j for j in candidates if j not in basis]
-            if not candidates:
-                # redundant equality row; pin the artificial at zero with zero cost
-                continue
-            basis[i] = candidates[0]
-            z_b = np.linalg.solve(A_full[:, basis], d1)
-    cost2 = np.concatenate([cost, np.full(n_rows, 0.0)])
-    basis, z_b = _simplex_iterate(A_full, d1, cost2, basis, tol,
-                                  allow_unbounded=True, n_real=m)
-    if np.any(basis >= m):
-        art_level = z_b[basis >= m]
-        if np.any(np.abs(art_level) > 1e-7):
-            raise UnboundedLPError("artificial stuck at nonzero level")
-    return basis, z_b
-
-
 def _simplex_iterate(A: np.ndarray, d: np.ndarray, cost: np.ndarray,
-                     basis: np.ndarray, tol: float, *,
-                     allow_unbounded: bool, n_real: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+                     basis: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """min cost'z s.t. A z = d, z >= 0 from a feasible basis (Bland's rule).
+
+    A is 3 x m; returns (basis, z_B).  Raises InfeasibleLPError when the
+    objective is unbounded below, i.e. when the primal is infeasible.
+    """
     n_rows = A.shape[0]
-    limit = n_real if n_real is not None else A.shape[1]
     basis = np.asarray(basis, dtype=int).copy()
     B = A[:, basis]
     z_b = np.linalg.solve(B, d)
     for _ in range(20000):
         B = A[:, basis]
         pi = np.linalg.solve(B.T, cost[basis])
-        reduced = cost[:limit] - pi @ A[:, :limit]
+        reduced = cost - pi @ A
         eligible = np.flatnonzero(reduced < -tol)
         j = -1
         for cand in eligible:  # Bland: lowest index enters (skip basis members)
@@ -260,9 +135,7 @@ def _simplex_iterate(A: np.ndarray, d: np.ndarray, cost: np.ndarray,
         direction = np.linalg.solve(B, A[:, j])
         pos = direction > tol
         if not np.any(pos):
-            if allow_unbounded:
-                raise InfeasibleLPError("primal infeasible (dual unbounded)")
-            raise UnboundedLPError("phase-1 subproblem unbounded")
+            raise InfeasibleLPError("primal infeasible (dual unbounded)")
         ratios = np.full(n_rows, np.inf)
         ratios[pos] = z_b[pos] / direction[pos]
         rmin = ratios.min()
@@ -278,21 +151,124 @@ def _simplex_iterate(A: np.ndarray, d: np.ndarray, cost: np.ndarray,
 
 # --- bounding boxes -------------------------------------------------------------
 
-def bound_params(cs: ConstraintSet, prior: ParamBox) -> ParamBox:
-    """Tightest box around the parameters consistent with all constraints.
+# Each clip line of the polygon is moved outward by this fraction of (1+|b|):
+# round-off then never cuts a feasible point, and noise-free rows at the sigma
+# floor never empty the polygon.
+_CLIP_REL = 1e-13
 
-    min/max of each coordinate over the half-space polytope intersected with
-    the prior (six warm-started LPs, redundant rows pruned exactly); the
-    result is clipped into the prior so nesting holds.  Raises
-    ModelInvalidatedError when no parameter vector inside the prior satisfies
-    every half-space at the noise bound.
+
+def _down(x: float) -> float:
+    return math.nextafter(x, -math.inf)
+
+
+def _up(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+class _ArcPolygon:
+    """Exact feasible set while every row has regressor (1, a1, k), one k.
+
+    On the concentrate arc u = 0 freezes c2, so every row shares k = -ln c2
+    and constrains only theta = p1 + k*p3 and p2: the feasible set is the
+    prior box intersected with a cylinder over a convex polygon in
+    (theta, p2) (Walter & Piet-Lahanier, IEEE TAC 34(8), 1989).  The polygon
+    starts as the prior's projection, a rectangle, and each half-plane that
+    cuts it clips it (Sutherland-Hodgman); a few edges survive however many
+    rows arrive.  The box and its six optimizer points follow in closed form,
+    with bounds rounded outward.  Each edge keeps the 3-D half-space it lies
+    on (None for the prior's facets), so `lift` hands the polygon to the LP
+    when another c2 arrives.
     """
-    if len(cs) == 0:
-        return prior
-    est = OnlineBoxEstimator(prior, cs.sigma)
-    rows = cs.regressors()
-    est.add_rows(rows[:, :3], rows[:, 3])
-    return est.box
+
+    def __init__(self, prior: ParamBox, k: float):
+        self.prior = prior
+        self.k = k
+        lo3, hi3 = prior.lo[2], prior.hi[2]
+        self.kp3 = (_down(min(k * lo3, k * hi3)), _up(max(k * lo3, k * hi3)))
+        t0, t1 = _down(prior.lo[0] + self.kp3[0]), _up(prior.hi[0] + self.kp3[1])
+        self.th = [t0, t1, t1, t0]
+        self.p2 = [prior.lo[1], prior.lo[1], prior.hi[1], prior.hi[1]]
+        self.edges: list = [None] * 4
+        self.ext = (t0, t1, prior.lo[1], prior.hi[1])
+
+    def cut(self, g0: float, g1: float, b: float) -> bool:
+        """Clip by g0*theta + g1*p2 <= b; True when a box bound moved."""
+        th, p2, edges = self.th, self.p2, self.edges
+        s = [g0 * t + g1 * p - b for t, p in zip(th, p2)]
+        if not max(s) > 0.0:
+            return False
+        if min(s) > 0.0:
+            raise ModelInvalidatedError(_INCONSISTENT)
+        row = (g0, g1, g0 * self.k, b)
+        n = len(s)
+        nth, np2, nedges = [], [], []
+        for i in range(n):
+            j = i + 1 if i + 1 < n else 0
+            si, sj = s[i], s[j]
+            if si <= 0.0:
+                nth.append(th[i])
+                np2.append(p2[i])
+                nedges.append(row if si == 0.0 and sj > 0.0 else edges[i])
+            if (si < 0.0 < sj) or (sj < 0.0 < si):
+                f = si / (si - sj)
+                nth.append(th[i] + f * (th[j] - th[i]))
+                np2.append(p2[i] + f * (p2[j] - p2[i]))
+                nedges.append(row if si < 0.0 else edges[i])
+        self.th, self.p2, self.edges = nth, np2, nedges
+        ext = (min(nth), max(nth), min(np2), max(np2))
+        moved = ext != self.ext
+        self.ext = ext
+        return moved
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Box of the cylinder over the polygon, rounded outward into the prior."""
+        tmin, tmax, p2min, p2max = self.ext
+        (lo1, lo2, lo3), (hi1, hi2, hi3) = self.prior.lo, self.prior.hi
+        k = self.k
+        lo = [max(lo1, _down(tmin - self.kp3[1])), max(lo2, _down(p2min)), lo3]
+        hi = [min(hi1, _up(tmax - self.kp3[0])), min(hi2, _up(p2max)), hi3]
+        if k > 0.0:      # p3 = (theta - p1)/k
+            lo[2] = max(lo3, _down(_down(tmin - hi1) / k))
+            hi[2] = min(hi3, _up(_up(tmax - lo1) / k))
+        elif k < 0.0:
+            lo[2] = max(lo3, _down(_up(tmax - lo1) / k))
+            hi[2] = min(hi3, _up(_down(tmin - hi1) / k))
+        return np.array(lo), np.array(hi)
+
+    @property
+    def x_opt(self) -> np.ndarray:
+        """Optimizer points of min p1, max p1, ..., max p3 (rows as in the LP)."""
+        th, p2, k = self.th, self.p2, self.k
+        (lo1, _, lo3), (hi1, _, hi3) = self.prior.lo, self.prior.hi
+
+        def point(i: int, p3: float) -> tuple[float, float, float]:
+            # a point of the prior on p1 + k*p3 = theta_i, preferring this p3
+            p1 = th[i] - k * p3
+            if not lo1 <= p1 <= hi1:
+                p1 = min(max(p1, lo1), hi1)
+                if k != 0.0:
+                    p3 = min(max((th[i] - p1) / k, lo3), hi3)
+            return p1, p2[i], p3
+
+        tmin, tmax = th.index(self.ext[0]), th.index(self.ext[1])
+        low_k, high_k = (lo3, hi3) if k >= 0.0 else (hi3, lo3)   # minimize/maximize k*p3
+        p3_lo, p3_hi = (tmin, tmax) if k >= 0.0 else (tmax, tmin)
+        return np.array([point(tmin, high_k), point(tmax, low_k),
+                         point(p2.index(self.ext[2]), lo3), point(p2.index(self.ext[3]), lo3),
+                         point(p3_lo, lo3), point(p3_hi, hi3)])
+
+    def lift(self) -> "_WarmBoundLP":
+        """The LP over the prior and the half-spaces of the polygon's edges."""
+        lp = _WarmBoundLP(self.prior)
+        rows = [e for e in self.edges if e is not None]
+        if rows:
+            R = np.array(rows)
+            lp.append_rows(R[:, :3], R[:, 3])
+            try:
+                lp.resolve(range(6))
+            except InfeasibleLPError as exc:
+                raise ModelInvalidatedError(_INCONSISTENT) from exc
+        return lp
 
 
 class _WarmBoundLP:
@@ -314,9 +290,7 @@ class _WarmBoundLP:
     bounds, so the remaining polytope still lies inside [lo, hi] and hence
     inside every dropped half-space; since the box only shrinks, a dropped
     row can never bind again.  The kept columns keep their order, so Bland's
-    rule meets them in the same order as before.  On a concentrate arc c2 is
-    frozen and the p1 and p3 edges do not shrink, so almost every row still
-    cuts the box and the LP grows until the singular arc bounds p3.
+    rule meets them in the same order as before.
     """
 
     _CAP0 = 512
@@ -326,26 +300,16 @@ class _WarmBoundLP:
         self._cols = np.zeros((3, self._CAP0))
         self._cost = np.zeros(self._CAP0)
         eye = np.eye(3)
-        self._cols[:, 0:3] = eye                       # p_j <= hi_j
-        self._cols[:, 3:6] = -eye                      # -p_j <= -lo_j
-        self._cost[0:3] = prior.hi_arr()
-        self._cost[3:6] = -prior.lo_arr()
+        self._cols[:, :6] = np.hstack([eye, -eye])     # p_j <= hi_j, -p_j <= -lo_j
+        self.lo, self.hi = prior.lo_arr(), prior.hi_arr()
+        self._cost[:6] = np.concatenate([self.hi, -self.lo])
         self.m = 6
-        # direction order: min p1, max p1, min p2, max p2, min p3, max p3
-        self._rhs = []
-        self._basis = []
-        for j in range(3):
-            for sign in (1.0, -1.0):
-                self._rhs.append(-sign * eye[j])
-                self._basis.append([3, 4, 5] if sign > 0 else [0, 1, 2])
-        self._basis = np.array(self._basis)
-        lo, hi = prior.lo_arr(), prior.hi_arr()
-        # optimizer vertices: lo corner for the min directions, hi for max
-        self.x_opt = np.empty((6, 3))
-        self.x_opt[0::2] = lo
-        self.x_opt[1::2] = hi
-        self.lo = lo.copy()
-        self.hi = hi.copy()
+        # direction order: min p1, max p1, min p2, max p2, min p3, max p3, each
+        # started from the box facets; the optimizer vertex is the lo corner for
+        # the min directions and the hi corner for the max directions
+        self._rhs = [-sign * eye[j] for j in range(3) for sign in (1.0, -1.0)]
+        self._basis = np.array([[3, 4, 5], [0, 1, 2]] * 3)
+        self.x_opt = np.array([self.lo, self.hi] * 3)
         self._compact_at = self._CAP0
 
     def _reserve(self, n: int) -> None:
@@ -393,12 +357,17 @@ class _WarmBoundLP:
         self._append(a, b)
         if not max(vals) > thr:    # the same test as below, also for NaN
             return False
-        viol = [d for d, v in enumerate(vals) if v > thr]
+        self.resolve([d for d, v in enumerate(vals) if v > thr])
+        if self.m > self._CAP0:
+            self._drop_redundant()
+        return True
+
+    def resolve(self, directions) -> None:
+        """Re-optimize the given directions from their stored bases."""
         A = self._cols[:, : self.m]
         cost = self._cost[: self.m]
-        for d in viol:
-            basis, z_b = _simplex_iterate(A, self._rhs[d], cost, self._basis[d],
-                                          _LP_TOL, allow_unbounded=True)
+        for d in directions:
+            basis, z_b = _simplex_iterate(A, self._rhs[d], cost, self._basis[d], _LP_TOL)
             self._basis[d] = basis
             x = np.linalg.solve(A[:, basis].T, cost[basis])
             self.x_opt[d] = x
@@ -410,9 +379,6 @@ class _WarmBoundLP:
                 self.lo[j] = max(-val - pad, self.lo[j])
             else:
                 self.hi[j] = min(val + pad, self.hi[j])
-        if self.m > self._CAP0:
-            self._drop_redundant()
-        return True
 
     def _drop_redundant(self) -> None:
         """Drop the non-basic rows that hold on the whole box [lo, hi]."""
@@ -435,23 +401,27 @@ class _WarmBoundLP:
 
 
 class OnlineBoxEstimator:
-    """Streaming set-membership estimator with provable redundancy pruning.
+    """Streaming set-membership estimator: the exact bounding box after each row.
 
-    A new half-space can change the bounding box only if it cuts the current
-    box; half-spaces satisfied on the whole current box leave the feasible set
-    untouched and — since boxes only shrink — stay redundant forever.  Each
-    measurement's two half-spaces are appended to the LPs, and the rows that
-    no longer cut the box and define none of the six bounds are dropped
-    whenever a bound moves or the LP has doubled (see `_WarmBoundLP`).  The
-    LPs thus hold at most twice the cutting rows or a few hundred rows,
-    which keeps full-batch estimation fast while producing exactly the same
-    boxes as solving with every constraint.  During concentration (c2 frozen) p3
-    keeps its prior edges, so the rows accumulate until the singular arc.
+    While every row shares one c2 regressor (the concentrate arc) the
+    feasible set is a cylinder over a 2-D polygon (`_ArcPolygon`), and the
+    box comes in closed form without any LP.  The first row with another c2,
+    or a regressor whose first entry is not 1, lifts the polygon's few edges
+    into `_WarmBoundLP`, which bounds every later row: a half-space can move
+    the box only if it excludes a cached optimizer point, and rows that no
+    longer cut the box are dropped, so the LP stays at a few hundred columns.
+    Per-row `add`, bulk `add_rows` and `add_rows_stop_on_change` give the
+    same boxes bit for bit.  `n_lp_rebounds` counts the half-spaces that
+    moved a bound.
     """
 
     # exact equalities (sigma = 0) make the LP duals degenerate; a tiny floor
     # keeps the solver well-posed and only widens boxes by ~1e-9
     SIGMA_FLOOR = 1e-9
+    # rows the polygon checks against its vertices in one numpy pass; the
+    # window doubles while no row cuts and restarts after a cut
+    _SCAN0 = 16
+    _MAX_VERTICES = 32
 
     def __init__(self, prior: ParamBox, sigma: float):
         if sigma < 0.0:
@@ -459,87 +429,159 @@ class OnlineBoxEstimator:
         self.prior = prior
         self.sigma = max(sigma, self.SIGMA_FLOOR)
         self.box = prior
-        self._lp = _WarmBoundLP(prior)
+        self._lp: _ArcPolygon | _WarmBoundLP = _WarmBoundLP(prior)
         self.n_measurements = 0
         self.n_lp_rebounds = 0
 
     @staticmethod
     def _halfspace_pairs(A: np.ndarray, q: np.ndarray,
                          sigma: float) -> tuple[np.ndarray, np.ndarray]:
-        k = A.shape[0]
-        G_all = np.empty((2 * k, 3))
-        G_all[0::2] = A                       # each measurement's pair is adjacent
-        G_all[1::2] = -A
-        h_all = np.empty(2 * k)
-        h_all[0::2] = q + sigma
-        h_all[1::2] = -(q - sigma)
+        # each measurement's pair is adjacent
+        G_all = np.stack([A, -A], axis=1).reshape(-1, 3)
+        h_all = np.stack([q + sigma, -(q - sigma)], axis=1).reshape(-1)
         return G_all, h_all
+
+    @staticmethod
+    def _checked(A, q) -> tuple[np.ndarray, np.ndarray]:
+        A = np.asarray(A, dtype=float).reshape(-1, 3)
+        q = np.asarray(q, dtype=float).reshape(-1)
+        if A.shape[0] != q.shape[0]:
+            raise ConfigError(f"{A.shape[0]} regressor rows for {q.shape[0]} measurements")
+        if not (np.isfinite(A).all() and np.isfinite(q).all()):
+            raise DomainError("regressors and flux measurements must be finite")
+        return A, q
 
     def add_rows(self, A: np.ndarray, q: np.ndarray) -> ParamBox:
         """Ingest measurements with regressor rows A (k,3) and values q (k,)."""
-        A = np.asarray(A, dtype=float).reshape(-1, 3)
-        q = np.asarray(q, dtype=float).reshape(-1)
-        G_all, h_all = self._halfspace_pairs(A, q, self.sigma)
-        n = G_all.shape[0]
-        idx = 0
-        while idx < n:
-            viol = self._lp.violates(G_all[idx:], h_all[idx:])
-            hits = np.flatnonzero(viol)
-            if hits.size == 0:
-                self._lp.append_rows(G_all[idx:], h_all[idx:])
-                break
-            j = idx + int(hits[0])
-            self._lp.append_rows(G_all[idx:j], h_all[idx:j])
-            self._process_moving_row(G_all[j], h_all[j])
-            idx = j + 1
-        self.n_measurements += A.shape[0]
+        self._ingest(A, q, stop=False)
         return self.box
 
     def add(self, m: Measurement) -> ParamBox:
         """Ingest one measurement; the same boxes as `add_rows` row by row."""
         if not (0.0 < m.c1 < math.inf and 0.0 < m.c2 < math.inf):
             raise DomainError("measurement concentrations must be positive and finite")
-        a = np.array((1.0, -math.log(m.c1), -math.log(m.c2)))
-        self._process_moving_row(a, m.q_m + self.sigma)
-        self._process_moving_row(-a, -(m.q_m - self.sigma))
+        q = m.q_m
+        if not math.isfinite(q):
+            raise DomainError("flux measurements must be finite")
+        a1, k = -math.log(m.c1), -math.log(m.c2)
+        if self._on_arc(1.0, k):
+            bu, bl = q + self.sigma, q - self.sigma
+            up, lo = bu + _CLIP_REL * (1.0 + abs(bu)), bl - _CLIP_REL * (1.0 + abs(bl))
+            for t, p in zip(self._lp.th, self._lp.p2):
+                r = t + a1 * p
+                if r > up or r < lo:
+                    self._cut_arc(a1, up, lo)
+                    break
+        else:
+            a = np.array((1.0, a1, k))
+            self._process_moving_row(a, q + self.sigma)
+            self._process_moving_row(-a, -(q - self.sigma))
         self.n_measurements += 1
         return self.box
 
     def add_rows_stop_on_change(self, A: np.ndarray, q: np.ndarray) -> tuple[int, bool]:
         """Ingest measurements in order, stopping after the first one that
         shrinks the box.  Returns (measurements consumed, box changed)."""
-        A = np.asarray(A, dtype=float).reshape(-1, 3)
-        q = np.asarray(q, dtype=float).reshape(-1)
-        k = A.shape[0]
-        G_all, h_all = self._halfspace_pairs(A, q, self.sigma)
-        viol = self._lp.violates(G_all, h_all)
-        hits = np.flatnonzero(viol)
-        if hits.size == 0:
-            self._lp.append_rows(G_all, h_all)
-            self.n_measurements += k
-            return k, False
-        j = int(hits[0])
-        i_meas = j // 2
-        self._lp.append_rows(G_all[: 2 * i_meas], h_all[: 2 * i_meas])
-        for jj in (2 * i_meas, 2 * i_meas + 1):
-            self._process_moving_row(G_all[jj], h_all[jj])
-        self.n_measurements += i_meas + 1
-        return i_meas + 1, True
+        return self._ingest(A, q, stop=True)
+
+    def _ingest(self, A, q, stop: bool) -> tuple[int, bool]:
+        A, q = self._checked(A, q)
+        i0, changed = self._arc_prefix(A, q, stop)
+        G_all, h_all = self._halfspace_pairs(A[i0:], q[i0:], self.sigma)
+        idx, n = 0, G_all.shape[0]
+        while idx < n and not changed:
+            hits = np.flatnonzero(self._lp.violates(G_all[idx:], h_all[idx:]))
+            j = idx + int(hits[0]) if hits.size else n
+            if stop:
+                j -= j % 2               # the whole measurement of the first cut
+            self._lp.append_rows(G_all[idx:j], h_all[idx:j])
+            idx = min(j + 1 + stop, n)
+            for jj in range(j, idx):
+                self._process_moving_row(G_all[jj], h_all[jj])
+            changed = stop and j < n
+        used = i0 + idx // 2
+        self.n_measurements += used
+        return used, changed
+
+    # --- polygon phase ---
+
+    def _on_arc(self, a0: float, k: float) -> bool:
+        """Whether the polygon takes a row (a0, ., k); if not, the LP takes
+        over for good."""
+        lp = self._lp
+        if type(lp) is _ArcPolygon:
+            if a0 == 1.0 and k == lp.k:
+                return True
+            self._lp = lp.lift()
+        elif a0 == 1.0 and self.n_measurements == 0 and lp.m == 6:
+            self._lp = _ArcPolygon(self.prior, float(k))
+            return True
+        return False
+
+    def _arc_prefix(self, A: np.ndarray, q: np.ndarray, stop: bool) -> tuple[int, bool]:
+        """Ingest the leading rows the polygon takes; returns (rows consumed,
+        box changed), stopping after the first change when `stop`."""
+        n = A.shape[0]
+        if n == 0 or not self._on_arc(A[0, 0], A[0, 2]):
+            return 0, False
+        poly = self._lp
+        other = (A[:, 0] != 1.0) | (A[:, 2] != poly.k)
+        e = int(other.argmax()) if other.any() else n
+        a1 = A[:e, 1]
+        bu, bl = q[:e] + self.sigma, q[:e] - self.sigma
+        up = bu + _CLIP_REL * (1.0 + np.abs(bu))
+        lo = bl - _CLIP_REL * (1.0 + np.abs(bl))
+        th, p2 = np.array(poly.th), np.array(poly.p2)
+        i, w = 0, self._SCAN0
+        while i < e:
+            j = min(e, i + w)
+            r = th + a1[i:j, None] * p2                 # the same sums as in `add`
+            hit = (r.max(axis=1) > up[i:j]) | (r.min(axis=1) < lo[i:j])
+            if not hit.any():
+                i, w = j, 2 * w
+                continue
+            h = i + int(hit.argmax())
+            moved = self._cut_arc(float(a1[h]), float(up[h]), float(lo[h]))
+            if (moved and stop) or self._lp is not poly:
+                return h + 1, moved and stop
+            th, p2 = np.array(poly.th), np.array(poly.p2)
+            i, w = h + 1, self._SCAN0
+        if e < n:
+            self._on_arc(A[e, 0], A[e, 2])
+        return e, False
+
+    def _cut_arc(self, a1: float, up: float, lo: float) -> bool:
+        """Clip the polygon by lo <= theta + a1*p2 <= up; True if the box moved.
+
+        Noise-free strips through one point all stay active, so their polygon
+        keeps growing; past _MAX_VERTICES vertices the LP takes over.
+        """
+        poly = self._lp
+        moved = False
+        for g0, g1, b in ((1.0, a1, up), (-1.0, -a1, -lo)):
+            if poly.cut(g0, g1, b):
+                self._set_box(*poly.bounds())
+                moved = True
+        if len(poly.th) > self._MAX_VERTICES:
+            self._lp = poly.lift()
+        return moved
+
+    # --- LP phase ---
 
     def _process_moving_row(self, a: np.ndarray, b: float) -> None:
         try:
             moved = self._lp.process_row(a, b)
         except InfeasibleLPError as exc:
-            raise ModelInvalidatedError(
-                "constraints inconsistent with noise bound or model structure") from exc
-        if not moved:
-            return
-        lo, hi = self._lp.bounds()
+            raise ModelInvalidatedError(_INCONSISTENT) from exc
+        if moved:
+            self._set_box(*self._lp.bounds())
+
+    def _set_box(self, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Nest new bounds into the current box; count the rebound."""
         lo = np.maximum(lo, self.box.lo_arr())
         hi = np.minimum(hi, self.box.hi_arr())
         if np.any(lo > hi + 1e-9):
-            raise ModelInvalidatedError(
-                "constraints inconsistent with noise bound or model structure")
+            raise ModelInvalidatedError(_INCONSISTENT)
         self.box = ParamBox.from_arrays(lo, np.maximum(hi, lo))
         self.n_lp_rebounds += 1
 

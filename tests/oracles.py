@@ -2,7 +2,9 @@
 
 Deliberately naive implementations: fixed-step RK4, an event-detecting
 adaptive ODE solve, dense grid feasibility scans, and vertex enumeration.
-They must not share code with the package.
+They must not share code with the package.  The policy helpers at the end
+are the exception: they replay a committed policy with the package itself and
+exist only for the tests.
 """
 
 from __future__ import annotations
@@ -13,6 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from dfrto.errors import ConfigError
+from dfrto.policy import DILUTE, PolicyParams, singular_control
+from dfrto.process import (PlantParams, PlantState, ProcessSpec, StopCondition,
+                           Trajectory, dilute, flux, integrate)
 
 
 def _deriv(c1, c2, V, u, p, mass):
@@ -186,3 +193,54 @@ def lp_vertex_enumeration(c, G, h, prior):
             if best is None or val < best[1]:
                 best = (x, val)
     return best
+
+
+# --- policy helpers that only the tests use ------------------------------------
+
+@dataclass(frozen=True)
+class ControlArc:
+    """One arc of the policy; the dilute arc has zero duration."""
+
+    kind: str  # "concentrate" | "singular" | "dilute"
+    start: float
+    end: float
+    u_value: float
+
+
+def arcs_from_policy(pi: PolicyParams) -> list[ControlArc]:
+    return [
+        ControlArc("concentrate", 0.0, pi.t1, 0.0),
+        ControlArc("singular", pi.t1, pi.t2, singular_control(pi.p)),
+        ControlArc("dilute", pi.t2, pi.t2, DILUTE),
+    ]
+
+
+def evaluate_policy(t: float, state: PlantState, pi: PolicyParams) -> float:
+    """Step-wise control law: 0 before t1, u_s on [t1, t2), DILUTE (inf) at t2."""
+    if t > pi.tf + 1e-12:
+        raise ConfigError(f"t={t} beyond final time {pi.tf}")
+    if t < pi.t1:
+        return 0.0
+    if t < pi.t2:
+        return singular_control(pi.p)
+    return DILUTE
+
+
+def scaled(p: PlantParams, alpha: float) -> PlantParams:
+    """Multiply the whole flux law by alpha > 0 (times scale by 1/alpha)."""
+    return PlantParams(alpha * p.p1, alpha * p.p2, alpha * p.p3)
+
+
+def simulate_policy(pi: PolicyParams, spec: ProcessSpec, *,
+                    record: bool = True) -> Trajectory:
+    """Open-loop replay of a committed policy on the plant with the same params."""
+    arc1 = integrate(spec.initial_state(), 0.0, pi.p,
+                     StopCondition.at_time(pi.t1), spec, record=record)
+    us = singular_control(pi.p)
+    arc2 = integrate(arc1.final_state(), us, pi.p,
+                     StopCondition.at_time(pi.t2), spec, record=record)
+    end = arc2.final_state()
+    final = dilute(end, min(spec.c1_f, end.c1))
+    tail = Trajectory(np.array([final.t]), np.array([final.c1]), np.array([final.c2]),
+                      np.array([DILUTE]), np.array([flux(final.c1, final.c2, pi.p)]))
+    return Trajectory.concat([arc1, arc2, tail])

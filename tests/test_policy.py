@@ -7,13 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dfrto.errors import ConfigError, UnsupportedStructureError
-from dfrto.policy import (DILUTE, PolicyParams, arcs_from_policy,
-                          compute_switch_times, evaluate_policy,
-                          plan_vectorized, simulate_policy, singular_control,
-                          switching_function)
+from dfrto.policy import (DILUTE, PolicyParams, compute_switch_times,
+                          plan_vectorized, singular_control, switching_function)
 from dfrto.process import (PlantParams, PlantState, ProcessSpec, StopCondition,
                            integrate)
-from oracles import ode_integrate, rk4_event_time
+from oracles import (arcs_from_policy, evaluate_policy, ode_integrate,
+                     rk4_event_time, scaled, simulate_policy)
 
 
 def test_switching_function_values(p_nom1):
@@ -142,7 +141,7 @@ def test_t1_monotonic_in_gamma2(spec):
 def test_scaling_invariance(alpha):
     spec = ProcessSpec()
     p = PlantParams(20.7233, 3.0, 0.3)
-    ps = p.scaled(alpha)
+    ps = scaled(p, alpha)
     assert singular_control(ps) == pytest.approx(singular_control(p), rel=1e-12)
     pi = compute_switch_times(p, spec)
     pis = compute_switch_times(ps, spec)

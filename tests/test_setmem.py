@@ -10,9 +10,8 @@ from dfrto.cases import get_case
 from dfrto.errors import (ConfigError, DomainError, InfeasibleLPError,
                           ModelInvalidatedError, UnboundedLPError)
 from dfrto.process import Measurement, ProcessSpec, StopCondition, integrate
-from dfrto.setmem import (ConstraintSet, OnlineBoxEstimator, ParamBox,
-                          add_measurement, bound_params, read_measurements_csv,
-                          solve_lp, write_boxes_csv)
+from dfrto.setmem import (OnlineBoxEstimator, ParamBox, _WarmBoundLP,
+                          read_measurements_csv, write_boxes_csv)
 from dfrto.strategies import optimal_strategy
 from oracles import grid_feasible_box, lp_vertex_enumeration
 
@@ -28,29 +27,53 @@ def _synthetic_rows(n, rng, sigma=0.1, c1_range=(50.0, 400.0), c2_range=(0.5, 50
     return A, q
 
 
-def _cs_from_rows(A, q, sigma):
-    cs = ConstraintSet.empty(sigma)
-    for a, qi in zip(A, q):
-        cs = add_measurement(cs, Measurement(0.0, qi, math.exp(-a[1]), math.exp(-a[2])))
-    return cs
+def _est_from_rows(A, q, sigma, prior=PRIOR):
+    est = OnlineBoxEstimator(prior, sigma)
+    est.add_rows(A, q)
+    return est
 
 
-# --- ConstraintSet ------------------------------------------------------------
+def _halfspaces(A, q, sigma):
+    return np.vstack([A, -A]), np.concatenate([q + sigma, -(q - sigma)])
+
+
+def _linprog_box(A, q, sigma, prior):
+    G, h = _halfspaces(A, q, sigma)
+    bounds = list(zip(prior.lo, prior.hi))
+    lo, hi = np.empty(3), np.empty(3)
+    for j in range(3):
+        c = np.zeros(3)
+        c[j] = 1.0
+        for sign, out in ((1.0, lo), (-1.0, hi)):
+            res = linprog(sign * c, A_ub=G, b_ub=h, bounds=bounds, method="highs",
+                          options={"primal_feasibility_tolerance": 1e-10,
+                                   "dual_feasibility_tolerance": 1e-10})
+            assert res.status == 0
+            out[j] = res.x[j]
+    return lo, hi
+
+
+# --- measurement rows -----------------------------------------------------------
 
 def test_add_measurement_counts():
-    cs = ConstraintSet.empty(0.1)
-    assert cs.n_constraints == 0
-    cs = add_measurement(cs, Measurement(0.0, 5.0, 50.0, 50.0))
-    assert len(cs) == 1 and cs.n_constraints == 2
-    cs = add_measurement(cs, Measurement(1.0, 4.0, 60.0, 50.0))
-    assert cs.n_constraints == 4
+    est = OnlineBoxEstimator(PRIOR, 0.1)
+    assert est.n_measurements == 0
+    est.add(Measurement(0.0, 7.8, 50.0, 50.0))
+    assert est.n_measurements == 1
+    est.add(Measurement(1.0, 7.2, 60.0, 50.0))
+    assert est.n_measurements == 2
+    # two half-spaces per measurement
+    G, h = OnlineBoxEstimator._halfspace_pairs(np.ones((2, 3)), np.zeros(2), 0.1)
+    assert G.shape == (4, 3) and h.shape == (4,)
 
 
 def test_unit_concentration_bounds_p1_alone():
-    cs = add_measurement(ConstraintSet.empty(0.05), Measurement(0.0, 20.5, 1.0, 1.0))
-    G, h = cs.halfspaces()
+    G, h = OnlineBoxEstimator._halfspace_pairs(np.array([[1.0, -math.log(1.0), -math.log(1.0)]]),
+                                               np.array([20.5]), 0.05)
     assert np.allclose(G[:, 1:], 0.0)
-    box = bound_params(cs, PRIOR)
+    est = OnlineBoxEstimator(PRIOR, 0.05)
+    box = est.add(Measurement(0.0, 20.5, 1.0, 1.0))
+    assert est._lp.k == 0.0               # c2 = 1: the polygon's theta is p1
     assert box.lo[0] == pytest.approx(20.45) and box.hi[0] == pytest.approx(20.55)
     assert (box.lo[1], box.hi[1]) == (PRIOR.lo[1], PRIOR.hi[1])
     assert (box.lo[2], box.hi[2]) == (PRIOR.lo[2], PRIOR.hi[2])
@@ -64,31 +87,19 @@ def test_frozen_c2_gives_rank_two():
     assert np.linalg.matrix_rank(A) == 2
 
 
-def test_constraint_set_prefix_sharing():
-    cs0 = ConstraintSet.empty(0.1)
-    cs1 = add_measurement(cs0, Measurement(0.0, 5.0, 50.0, 50.0))
-    cs2 = add_measurement(cs1, Measurement(1.0, 4.0, 70.0, 50.0))
-    # branching from an old prefix must not corrupt it
-    cs1b = add_measurement(cs1, Measurement(1.0, 3.0, 80.0, 50.0))
-    assert len(cs1) == 1 and len(cs2) == 2 and len(cs1b) == 2
-    assert cs2.regressors()[1][3] == 4.0
-    assert cs1b.regressors()[1][3] == 3.0
-
-
-# --- solve_lp -------------------------------------------------------------------
+# --- the bound LP -----------------------------------------------------------------
 
 def test_lp_box_only():
-    x, v = solve_lp(np.array([1.0, 0.0, 0.0]), (), PRIOR, maximize=True)
-    assert v == pytest.approx(PRIOR.hi[0])
-    x, v = solve_lp(np.array([1.0, 0.0, 0.0]), (), PRIOR)
-    assert v == pytest.approx(PRIOR.lo[0])
+    est = OnlineBoxEstimator(PRIOR, 0.1)
+    assert est.box is PRIOR
+    x = est._lp.x_opt
+    assert x[1, 0] == pytest.approx(PRIOR.hi[0])    # max p1
+    assert x[0, 0] == pytest.approx(PRIOR.lo[0])    # min p1
 
 
 def test_lp_single_constraint():
-    G = np.array([[1.0, 0.0, 0.0]])
-    h = np.array([17.0])
-    x, v = solve_lp(np.array([1.0, 0.0, 0.0]), (G, h), PRIOR, maximize=True)
-    assert v == pytest.approx(17.0)
+    est = _est_from_rows(np.array([[1.0, 0.0, 0.0]]), np.array([16.9]), 0.1)
+    assert est.box.hi[0] == pytest.approx(17.0)
 
 
 def test_lp_vs_vertex_enumeration():
@@ -96,57 +107,51 @@ def test_lp_vs_vertex_enumeration():
     box = ParamBox((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
     worst = 0.0
     for _ in range(40):
-        G = rng.normal(size=(20, 3))
-        h = rng.normal(size=20) + 2.0
-        c = rng.normal(size=3)
-        ref = lp_vertex_enumeration(c, G, h, box)
+        A = rng.normal(size=(10, 3))
+        q = rng.normal(size=10)
+        sigma = 1.0 + rng.uniform()
+        G, h = _halfspaces(A, q, sigma)
         try:
-            _, v = solve_lp(c, (G, h), box)
-        except InfeasibleLPError:
-            assert ref is None
+            est = _est_from_rows(A, q, sigma, box)
+        except ModelInvalidatedError:
+            assert lp_vertex_enumeration(np.array([1.0, 0.0, 0.0]), G, h, box) is None
             continue
+        j, sign = rng.integers(3), rng.choice([1.0, -1.0])   # one of the six bounds
+        ref = lp_vertex_enumeration(sign * np.eye(3)[j], G, h, box)
         assert ref is not None
-        worst = max(worst, abs(v - ref[1]))
+        bound = est.box.lo[j] if sign > 0 else -est.box.hi[j]
+        worst = max(worst, abs(bound - ref[1]))
     assert worst <= 1e-7
 
 
 def test_lp_infeasible_distinct_from_unbounded():
-    G = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-    h = np.array([16.0, -17.0])  # p1 <= 16 and p1 >= 17
+    lp = _WarmBoundLP(PRIOR)
+    lp.process_row(np.array([1.0, 0.0, 0.0]), 16.0)     # p1 <= 16
     with pytest.raises(InfeasibleLPError):
-        solve_lp(np.array([1.0, 0.0, 0.0]), (G, h), PRIOR)
+        lp.process_row(np.array([-1.0, 0.0, 0.0]), -17.0)  # and p1 >= 17
     assert not issubclass(InfeasibleLPError, UnboundedLPError)
     assert not issubclass(UnboundedLPError, InfeasibleLPError)
 
 
 def test_lp_determinism():
     rng = np.random.default_rng(9)
-    G = rng.normal(size=(50, 3))
-    h = rng.normal(size=50) + 3.0
-    c = np.array([0.3, -1.2, 0.4])
-    box = ParamBox((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
-    x1, v1 = solve_lp(c, (G, h), box)
-    x2, v2 = solve_lp(c, (G, h), box)
-    assert v1 == v2 and np.array_equal(x1, x2)
+    A, q = _synthetic_rows(50, rng)
+    e1, e2 = _est_from_rows(A, q, 0.1), _est_from_rows(A, q, 0.1)
+    assert e1.box == e2.box and np.array_equal(e1._lp.x_opt, e2._lp.x_opt)
 
 
-# --- bound_params ---------------------------------------------------------------
+# --- boxes over every row ---------------------------------------------------------
 
 def test_bound_params_empty_returns_prior():
-    assert bound_params(ConstraintSet.empty(0.1), PRIOR) is PRIOR
+    est = OnlineBoxEstimator(PRIOR, 0.1)
+    assert est.add_rows(np.empty((0, 3)), np.empty(0)) is PRIOR
 
 
 def test_bound_params_three_point_collapse():
     pts = [(2.0, 5.0), (10.0, 2.0), (3.0, 20.0)]
-    sigma = 1e-9
-    cs = ConstraintSet.empty(sigma)
-    A = []
-    for c1, c2 in pts:
-        a = np.array([1.0, -math.log(c1), -math.log(c2)])
-        A.append(a)
-        cs = add_measurement(cs, Measurement(0.0, float(a @ TRUE_P), c1, c2))
-    box = bound_params(cs, PRIOR)
-    exact = np.linalg.solve(np.array(A), np.array(A) @ TRUE_P)
+    A = np.array([[1.0, -math.log(c1), -math.log(c2)] for c1, c2 in pts])
+    box = _est_from_rows(A, A @ TRUE_P, 1e-9).box
+    exact = np.linalg.solve(A, A @ TRUE_P)
     assert np.allclose(box.lo_arr(), exact, atol=1e-7)
     assert np.allclose(box.hi_arr(), exact, atol=1e-7)
 
@@ -154,8 +159,7 @@ def test_bound_params_three_point_collapse():
 def test_bound_params_matches_grid_oracle():
     rng = np.random.default_rng(11)
     A, q = _synthetic_rows(200, rng)
-    cs = _cs_from_rows(A, q, 0.1)
-    box = bound_params(cs, PRIOR)
+    box = _est_from_rows(A, q, 0.1).box
     res = grid_feasible_box(A, q, 0.1, PRIOR, n=101)
     assert res is not None
     lo_g, hi_g, cell = res
@@ -169,33 +173,37 @@ def test_bound_params_matches_grid_oracle():
 def test_bound_params_nesting():
     rng = np.random.default_rng(3)
     A, q = _synthetic_rows(120, rng)
-    cs = ConstraintSet.empty(0.1)
     prev = PRIOR
-    for i, (a, qi) in enumerate(zip(A, q)):
-        cs = add_measurement(cs, Measurement(0.0, qi, math.exp(-a[1]), math.exp(-a[2])))
-        if i % 10 == 0:
-            box = bound_params(cs, PRIOR)
-            assert box.is_subset_of(prev)
-            prev = box
+    for i in range(0, 120, 10):
+        box = _est_from_rows(A[:i + 1], q[:i + 1], 0.1).box
+        assert box.is_subset_of(prev)
+        prev = box
     assert prev.contains(TRUE_P)
 
 
 def test_bound_params_invalidated():
-    cs = ConstraintSet.empty(0.01)
-    cs = add_measurement(cs, Measurement(0.0, 5.0, 50.0, 50.0))
-    cs = add_measurement(cs, Measurement(0.0, 6.0, 50.0, 50.0))  # contradicts at sigma=0.01
+    # two contradictory rows at one c2: the polygon empties
+    est = OnlineBoxEstimator(PRIOR, 0.01)
+    est.add(Measurement(0.0, 5.0, 50.0, 50.0))
     with pytest.raises(ModelInvalidatedError):
-        bound_params(cs, PRIOR)
+        est.add(Measurement(0.0, 6.0, 50.0, 50.0))  # contradicts at sigma=0.01
+    A = np.array([[1.0, -math.log(50.0), -math.log(50.0)]] * 2)
+    with pytest.raises(ModelInvalidatedError):
+        _est_from_rows(A, np.array([5.0, 6.0]), 0.01)
 
 
 def test_online_equals_batch():
     rng = np.random.default_rng(21)
     A, q = _synthetic_rows(400, rng)
-    est = OnlineBoxEstimator(PRIOR, 0.1)
-    est.add_rows(A, q)
-    batch = bound_params(_cs_from_rows(A, q, 0.1), PRIOR)
-    assert np.array_equal(est.box.lo_arr(), batch.lo_arr())
-    assert np.array_equal(est.box.hi_arr(), batch.hi_arr())
+    est = _est_from_rows(A, q, 0.1)
+    single = OnlineBoxEstimator(PRIOR, 0.1)
+    for a, qi in zip(A, q):
+        single.add(Measurement(0.0, qi, math.exp(-a[1]), math.exp(-a[2])))
+    lo, hi = _linprog_box(A, q, 0.1, PRIOR)
+    assert np.max(np.abs(est.box.lo_arr() - lo)) <= 1e-9
+    assert np.max(np.abs(est.box.hi_arr() - hi)) <= 1e-9
+    assert np.array_equal(est.box.lo_arr(), single.box.lo_arr())
+    assert np.array_equal(est.box.hi_arr(), single.box.hi_arr())
 
 
 def test_online_one_by_one_equals_bulk():
@@ -237,6 +245,63 @@ def test_p3_frozen_on_concentrate_arc(p_nom2, spec):
     w_prior = prior.widths()
     w_post = est.box.widths()
     assert w_prior[2] - w_post[2] <= 0.01 * w_prior[2]
+
+
+# --- the concentrate-arc polygon ---------------------------------------------------
+
+@settings(max_examples=30)
+@given(st.sampled_from([1.0, 0.4, 50.0]), st.integers(1, 80), st.integers(0, 2 ** 31 - 1),
+       st.sampled_from([0.1, 1e-3]))
+def test_same_c2_polygon_matches_linprog(c2, n, seed, sigma):
+    """c2 = 1 (k = 0), c2 < 1 (k > 0) and c2 > 1 (k < 0) all stay on the polygon."""
+    rng = np.random.default_rng(seed)
+    A, q = _synthetic_rows(n, rng, sigma=sigma, c2_range=(c2, c2))
+    est = _est_from_rows(A, q, sigma)
+    assert est._lp.k == A[0, 2] and len(est._lp.th) <= 4 + 2 * n
+    lo, hi = _linprog_box(A, q, sigma, PRIOR)
+    assert np.max(np.abs(est.box.lo_arr() - lo)) <= 1e-9
+    assert np.max(np.abs(est.box.hi_arr() - hi)) <= 1e-9
+    assert est.box.contains(TRUE_P)
+    # the six optimizer points are feasible and attain the bounds
+    G, h = _halfspaces(A, q, sigma)
+    x = est._lp.x_opt
+    assert float(np.max(G @ x.T - h[:, None])) <= 1e-9
+    assert np.all([PRIOR.contains(xi, tol=1e-12) for xi in x])
+    assert np.allclose(x[0::2].diagonal(), lo, atol=1e-9)
+    assert np.allclose(x[1::2].diagonal(), hi, atol=1e-9)
+
+
+def test_noise_free_concentrate_stream_is_consistent(p_nom2, spec):
+    """Exact fluxes at the sigma floor never empty the polygon; its strips all
+    pass through the truth and stay active, so the LP soon takes over."""
+    prior = get_case("generalized").prior_box(spec)
+    traj = integrate(spec.initial_state(), 0.0, p_nom2,
+                     StopCondition.at_time(0.5), spec, record=True)
+    A = np.column_stack([np.ones(traj.t.size), -np.log(traj.c1), -np.log(traj.c2)])[1:]
+    single = OnlineBoxEstimator(prior, 0.0)
+    for m in zip(traj.t[1:], traj.q[1:], traj.c1[1:], traj.c2[1:]):
+        assert single.add(Measurement(*m)).contains(p_nom2)
+    bulk = _est_from_rows(A, traj.q[1:], 0.0, prior)
+    assert bulk.box == single.box and bulk.n_lp_rebounds == single.n_lp_rebounds
+    # p2 and theta = p1 + k*p3 are pinned; p1 alone is not while p3 is free
+    w = bulk.box.widths()
+    assert w[1] < 1e-7 and w[2] == prior.widths()[2]
+    assert w[0] <= abs(A[0, 2]) * w[2] + 1e-7
+
+
+@pytest.mark.parametrize("path", ["add", "add_rows", "add_rows_stop_on_change"])
+def test_nonfinite_input_rejected_before_any_change(path):
+    est = OnlineBoxEstimator(PRIOR, 0.1)
+    if path == "add":
+        bad = [((Measurement(0.0, math.nan, 60.0, 50.0),)),
+               ((Measurement(0.0, -math.inf, 60.0, 50.0),))]
+    else:
+        rows = np.array([[1.0, -4.0, -3.9], [1.0, math.nan, -3.9]])
+        bad = [(rows, np.array([7.0, 7.1])), (rows[:1], np.array([math.inf]))]
+    for args in bad:
+        with pytest.raises(DomainError):
+            getattr(est, path)(*args)
+    assert est.n_measurements == 0 and est._lp.m == 6 and est.box is PRIOR
 
 
 def test_box_helpers():
@@ -351,21 +416,20 @@ def test_ingest_paths_agree_on_full_batch(full_batch):
         assert est._lp.m < 1000
 
 
-def _linprog_box(A, q, sigma, prior):
-    G = np.vstack([A, -A])
-    h = np.concatenate([q + sigma, -(q - sigma)])
-    bounds = list(zip(prior.lo, prior.hi))
-    lo, hi = np.empty(3), np.empty(3)
-    for j in range(3):
-        c = np.zeros(3)
-        c[j] = 1.0
-        for sign, out in ((1.0, lo), (-1.0, hi)):
-            res = linprog(sign * c, A_ub=G, b_ub=h, bounds=bounds, method="highs",
-                          options={"primal_feasibility_tolerance": 1e-10,
-                                   "dual_feasibility_tolerance": 1e-10})
-            assert res.status == 0
-            out[j] = res.x[j]
-    return lo, hi
+def test_lp_starts_small_after_the_concentrate_arc(full_batch):
+    """The LP takes over from the polygon with a few lifted edges."""
+    prior, sigma, _, ms, A, q = full_batch
+    first = int(np.argmax(A[:, 2] != A[0, 2]))      # first singular-arc row
+    assert first > 1000
+    bulk = OnlineBoxEstimator(prior, sigma)
+    bulk.add_rows(A[:first], q[:first])
+    assert bulk._lp.k == A[0, 2] and len(bulk._lp.th) <= 10
+    bulk.add_rows(A[first:first + 1], q[first:first + 1])
+    single = OnlineBoxEstimator(prior, sigma)
+    for m in ms[:first + 1]:
+        single.add(m)
+    for est in (bulk, single):
+        assert not hasattr(est._lp, "k") and est._lp.m <= 64
 
 
 def test_compacted_lp_keeps_the_feasible_set(full_batch):
