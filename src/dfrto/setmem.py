@@ -13,7 +13,10 @@ description of the feasible parameter set for bounded-error models", IEEE TAC
 34(8), 1989).  The first sample with another c2 lifts the polygon's few edges
 into six warm-started bound LPs.  The LP solver is a dense revised simplex
 with Bland's rule (deterministic, anti-cycling) working on the dual, which
-keeps the basis 3x3 regardless of how many measurements accumulate.
+keeps the basis 3x3 regardless of how many measurements accumulate; each
+pivot inverts that basis explicitly in Python floats.  A half-space that
+holds on the whole current box is filtered out at ingest, since the box only
+shrinks and it can never bind.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ from .errors import (ConfigError, DomainError, InfeasibleLPError,
 from .process import Measurement, PlantParams
 
 _LP_TOL = 1e-9
+# a row moves a bound when it excludes a cached optimizer by more than this
+# fraction of (1 + |b|); each LP bound is padded outward by the same fraction
+_MOVE_REL = 1e-11
 _INCONSISTENT = "constraints inconsistent with noise bound or model structure"
 
 
@@ -108,44 +114,66 @@ class ParamBox:
 
 # --- dense simplex -------------------------------------------------------------
 
-def _simplex_iterate(A: np.ndarray, d: np.ndarray, cost: np.ndarray,
-                     basis: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _inverse3(B: list[list[float]]) -> list[list[float]]:
+    """Rows of the inverse of the 3x3 matrix with rows B: Gaussian elimination
+    with partial pivoting in Python floats, where numpy's per-call overhead
+    would dominate."""
+    r0 = B[0] + [1.0, 0.0, 0.0]
+    r1 = B[1] + [0.0, 1.0, 0.0]
+    r2 = B[2] + [0.0, 0.0, 1.0]
+    if abs(r1[0]) > abs(r0[0]):
+        r0, r1 = r1, r0
+    if abs(r2[0]) > abs(r0[0]):
+        r0, r2 = r2, r0
+    f1, f2 = r1[0] / r0[0], r2[0] / r0[0]
+    r1 = [x - f1 * y for x, y in zip(r1, r0)]
+    r2 = [x - f2 * y for x, y in zip(r2, r0)]
+    if abs(r2[1]) > abs(r1[1]):
+        r1, r2 = r2, r1
+    f2 = r2[1] / r1[1]
+    r2 = [x - f2 * y for x, y in zip(r2, r1)]
+    z2 = [x / r2[2] for x in r2[3:]]
+    z1 = [(x - r1[2] * y) / r1[1] for x, y in zip(r1[3:], z2)]
+    z0 = [(x - r0[1] * y - r0[2] * w) / r0[0] for x, y, w in zip(r0[3:], z1, z2)]
+    return [z0, z1, z2]
+
+
+def _simplex_iterate(A: np.ndarray, d: list[float], cost: np.ndarray,
+                     basis: list[int], tol: float
+                     ) -> tuple[list[int], float, list[float]]:
     """min cost'z s.t. A z = d, z >= 0 from a feasible basis (Bland's rule).
 
-    A is 3 x m; returns (basis, z_B).  Raises InfeasibleLPError when the
-    objective is unbounded below, i.e. when the primal is infeasible.
+    A is 3 x m.  Each pivot inverts the 3x3 basis explicitly in Python floats
+    and prices every column with one pi @ A.  Returns (basis, optimal value,
+    pi) with pi the duals of the final basis (B'pi = cost_B).  Raises
+    InfeasibleLPError when the objective is unbounded below, i.e. when the
+    primal is infeasible.
     """
-    n_rows = A.shape[0]
-    basis = np.asarray(basis, dtype=int).copy()
-    B = A[:, basis]
-    z_b = np.linalg.solve(B, d)
+    basis = list(basis)
     for _ in range(20000):
-        B = A[:, basis]
-        pi = np.linalg.solve(B.T, cost[basis])
-        reduced = cost - pi @ A
-        eligible = np.flatnonzero(reduced < -tol)
+        Binv = _inverse3(A[:, basis].tolist())
+        c_b = cost[basis].tolist()
+        z_b = [r[0] * d[0] + r[1] * d[1] + r[2] * d[2] for r in Binv]
+        pi = [c_b[0] * Binv[0][k] + c_b[1] * Binv[1][k] + c_b[2] * Binv[2][k]
+              for k in range(3)]
+        reduced = cost - np.array(pi) @ A
         j = -1
-        for cand in eligible:  # Bland: lowest index enters (skip basis members)
-            ci = int(cand)
-            if ci != basis[0] and ci != basis[1] and ci != basis[2]:
-                j = ci
+        for cand in np.flatnonzero(reduced < -tol).tolist():
+            if cand not in basis:      # Bland: lowest index enters
+                j = cand
                 break
         if j < 0:
-            return basis, z_b
-        direction = np.linalg.solve(B, A[:, j])
-        pos = direction > tol
-        if not np.any(pos):
+            return basis, c_b[0] * z_b[0] + c_b[1] * z_b[1] + c_b[2] * z_b[2], pi
+        a = A[:, j].tolist()
+        direction = [r[0] * a[0] + r[1] * a[1] + r[2] * a[2] for r in Binv]
+        ratios = [z / g if g > tol else math.inf for z, g in zip(z_b, direction)]
+        rmin = min(ratios)
+        if rmin == math.inf:
             raise InfeasibleLPError("primal infeasible (dual unbounded)")
-        ratios = np.full(n_rows, np.inf)
-        ratios[pos] = z_b[pos] / direction[pos]
-        rmin = ratios.min()
-        ties = np.flatnonzero(ratios <= rmin + tol * (1.0 + abs(rmin)))
-        leave = int(ties[np.argmin(basis[ties])])  # Bland: lowest variable index leaves
-        step = ratios[leave]
-        z_b = z_b - step * direction
-        z_b[leave] = step
+        cut = rmin + tol * (1.0 + abs(rmin))
+        # Bland: among tied ratios the lowest variable index leaves
+        leave = min((i for i in range(3) if ratios[i] <= cut), key=lambda i: basis[i])
         basis[leave] = j
-        z_b = np.linalg.solve(A[:, basis], d)
     raise InfeasibleLPError("simplex iteration limit exceeded")
 
 
@@ -276,21 +304,21 @@ class _WarmBoundLP:
 
     Dual view: each primal half-space a.p <= b is a column (a, cost b); adding
     a row keeps every stored basis feasible, so re-optimization after a cut
-    takes a handful of Bland iterations.  The six box facets are the first
-    columns and provide trivial starting bases.  The optimizer vertex of each
-    direction is cached: a new row can move a bound only if it excludes that
-    vertex, so rows cutting the box elsewhere are appended without re-solving.
+    takes a handful of Bland iterations, each on an explicit 3x3 basis
+    inverse.  The six box facets are the first columns and provide trivial
+    starting bases.  The optimizer vertex of each direction (the duals of its
+    final basis) is cached: a new row can move a bound only if it excludes
+    that vertex, so rows cutting the box elsewhere are appended without
+    re-solving.
 
-    Rows that no longer cut the box are dropped once the LP outgrows its
-    initial buffer: after a re-solve, and between re-solves whenever the LP
-    has doubled since the last drop (so the test costs O(1) per row and the
-    LP holds at most twice the rows kept then, or one buffer).  A column is
-    dropped when it is basic in none of the six LPs and its half-space holds
-    on the whole box [lo, hi].  The kept basic columns certify the six
-    bounds, so the remaining polytope still lies inside [lo, hi] and hence
-    inside every dropped half-space; since the box only shrinks, a dropped
-    row can never bind again.  The kept columns keep their order, so Bland's
-    rule meets them in the same order as before.
+    A row whose half-space holds on the whole box [lo, hi] is never stored,
+    and once the LP outgrows its initial buffer every re-solve drops the
+    stored rows that the shrunken box has made redundant (except the basic
+    ones).  Both are sound for the same reason: the kept basic columns
+    certify the six bounds, so the polytope lies inside [lo, hi] and hence
+    inside every such half-space, and since the box only shrinks, such a row
+    can never bind again.  The kept columns keep their order, so Bland's rule
+    meets them in the same order as before.
     """
 
     _CAP0 = 512
@@ -307,55 +335,66 @@ class _WarmBoundLP:
         # direction order: min p1, max p1, min p2, max p2, min p3, max p3, each
         # started from the box facets; the optimizer vertex is the lo corner for
         # the min directions and the hi corner for the max directions
-        self._rhs = [-sign * eye[j] for j in range(3) for sign in (1.0, -1.0)]
+        self._rhs = [(-sign * eye[j]).tolist() for j in range(3) for sign in (1.0, -1.0)]
         self._basis = np.array([[3, 4, 5], [0, 1, 2]] * 3)
         self.x_opt = np.array([self.lo, self.hi] * 3)
-        self._compact_at = self._CAP0
 
     def _reserve(self, n: int) -> None:
         while self.m + n > self._cols.shape[1]:
             self._cols = np.concatenate([self._cols, np.zeros_like(self._cols)], axis=1)
             self._cost = np.concatenate([self._cost, np.zeros_like(self._cost)])
 
-    def _append(self, a: np.ndarray, b: float) -> None:
-        if self.m == self._cols.shape[1]:
-            self._reserve(1)
-        self._cols[:, self.m] = a
-        self._cost[self.m] = b
-        self.m += 1
-        if self.m >= self._compact_at:
-            self._drop_redundant()
+    def _max_on_box(self, C: np.ndarray) -> np.ndarray:
+        """max over [lo, hi] of c.p for each column c of C (3 x k), with the
+        same float operations as `_cuts_box`."""
+        M = np.maximum(C * self.hi[:, None], C * self.lo[:, None])
+        return M[0] + M[1] + M[2]
+
+    def _cuts_box(self, a: list[float], b: float) -> bool:
+        """Whether a.p <= b fails somewhere on [lo, hi] (Python floats)."""
+        (l0, l1, l2), (h0, h1, h2) = self.lo.tolist(), self.hi.tolist()
+        a0, a1, a2 = a
+        return (max(a0 * h0, a0 * l0) + max(a1 * h1, a1 * l1)
+                + max(a2 * h2, a2 * l2)) > b
 
     def append_rows(self, G: np.ndarray, h: np.ndarray) -> None:
-        """Bulk append of half-spaces known not to move any bound.
+        """Bulk append of half-spaces known not to move any bound; rows that
+        hold on the whole box are discarded, as in `process_row`."""
+        keep = self._max_on_box(G.T) > h
+        k = int(np.count_nonzero(keep))
+        self._reserve(k)
+        self._cols[:, self.m:self.m + k] = G[keep].T
+        self._cost[self.m:self.m + k] = h[keep]
+        self.m += k
 
-        Compacts at the same row counts as appending one row at a time.
+    def first_cut(self, A: np.ndarray, bu: np.ndarray, bl: np.ndarray) -> int:
+        """Index of the first strip bl <= a.p <= bu (rows a of A) that may
+        exclude a cached optimizer, or len(bu) when none can.
+
+        The threshold is half of `process_row`'s, so rounding differences
+        between the two only add candidates, which `process_row` rejects.
         """
-        start, n = 0, G.shape[0]
-        while start < n:
-            k = min(n - start, self._compact_at - self.m)
-            self._reserve(k)
-            self._cols[:, self.m:self.m + k] = G[start:start + k].T
-            self._cost[self.m:self.m + k] = h[start:start + k]
-            self.m += k
-            start += k
-            if self.m >= self._compact_at:
-                self._drop_redundant()
-
-    def violates(self, G: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Boolean mask: which rows exclude at least one cached optimizer."""
-        return (G @ self.x_opt.T > h[:, None] + 1e-11 * (1.0 + np.abs(h))[:, None]).any(axis=1)
+        V = self.x_opt @ A.T
+        hit = ((V.max(axis=0) > bu + 0.5 * _MOVE_REL * (1.0 + np.abs(bu)))
+               | (V.min(axis=0) < bl - 0.5 * _MOVE_REL * (1.0 + np.abs(bl))))
+        return int(hit.argmax()) if hit.any() else bu.size
 
     def process_row(self, a: np.ndarray, b: float) -> bool:
         """Append one half-space; re-solve only the directions it invalidates.
 
         Returns True when at least one bound moved.
         """
-        thr = b + 1e-11 * (1.0 + abs(b))
+        thr = b + _MOVE_REL * (1.0 + abs(b))
         # compared as Python floats: numpy's per-call overhead dominates here
         vals = (self.x_opt @ a).tolist()
-        self._append(a, b)
-        if not max(vals) > thr:    # the same test as below, also for NaN
+        moves = max(vals) > thr
+        if not moves and not self._cuts_box(a.tolist(), b):
+            return False
+        self._reserve(1)
+        self._cols[:, self.m] = a
+        self._cost[self.m] = b
+        self.m += 1
+        if not moves:
             return False
         self.resolve([d for d, v in enumerate(vals) if v > thr])
         if self.m > self._CAP0:
@@ -367,14 +406,13 @@ class _WarmBoundLP:
         A = self._cols[:, : self.m]
         cost = self._cost[: self.m]
         for d in directions:
-            basis, z_b = _simplex_iterate(A, self._rhs[d], cost, self._basis[d], _LP_TOL)
+            basis, val, pi = _simplex_iterate(A, self._rhs[d], cost,
+                                              self._basis[d].tolist(), _LP_TOL)
             self._basis[d] = basis
-            x = np.linalg.solve(A[:, basis].T, cost[basis])
-            self.x_opt[d] = x
+            self.x_opt[d] = pi
             j, sign = divmod(d, 2)
-            val = float(cost[basis] @ z_b)
             # tiny outward pad keeps the box sound against pivoting round-off
-            pad = 1e-11 * (1.0 + abs(val))
+            pad = _MOVE_REL * (1.0 + abs(val))
             if sign == 0:
                 self.lo[j] = max(-val - pad, self.lo[j])
             else:
@@ -382,10 +420,8 @@ class _WarmBoundLP:
 
     def _drop_redundant(self) -> None:
         """Drop the non-basic rows that hold on the whole box [lo, hi]."""
-        G = self._cols[:, 6: self.m]
-        worst = self.hi @ np.maximum(G, 0.0) + self.lo @ np.minimum(G, 0.0)  # max over box
         keep = np.ones(self.m, dtype=bool)
-        keep[6:] = worst > self._cost[6: self.m]
+        keep[6:] = self._max_on_box(self._cols[:, 6: self.m]) > self._cost[6: self.m]
         keep[self._basis.ravel()] = True
         kept = np.flatnonzero(keep)
         n = kept.size
@@ -394,7 +430,6 @@ class _WarmBoundLP:
             self._cols[:, :n] = self._cols.take(kept, axis=1)
             self._cost[:n] = self._cost.take(kept)
             self.m = n
-        self._compact_at = max(2 * n, self._CAP0)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return self.lo.copy(), self.hi.copy()
@@ -408,19 +443,21 @@ class OnlineBoxEstimator:
     box comes in closed form without any LP.  The first row with another c2,
     or a regressor whose first entry is not 1, lifts the polygon's few edges
     into `_WarmBoundLP`, which bounds every later row: a half-space can move
-    the box only if it excludes a cached optimizer point, and rows that no
-    longer cut the box are dropped, so the LP stays at a few hundred columns.
-    Per-row `add`, bulk `add_rows` and `add_rows_stop_on_change` give the
-    same boxes bit for bit.  `n_lp_rebounds` counts the half-spaces that
-    moved a bound.
+    the box only if it excludes a cached optimizer point, a half-space that
+    holds on the whole box is not stored at all, and stored rows that the box
+    has since made redundant are dropped, so the LP stays at a few hundred
+    columns.  Per-row `add`, bulk `add_rows` and `add_rows_stop_on_change`
+    give the same boxes bit for bit.  `n_lp_rebounds` counts the half-spaces
+    that moved a bound.
     """
 
     # exact equalities (sigma = 0) make the LP duals degenerate; a tiny floor
     # keeps the solver well-posed and only widens boxes by ~1e-9
     SIGMA_FLOOR = 1e-9
-    # rows the polygon checks against its vertices in one numpy pass; the
-    # window doubles while no row cuts and restarts after a cut
-    _SCAN0 = 16
+    # rows the bulk paths check against the polygon vertices or the cached LP
+    # optimizers in one numpy pass; the window doubles while no row cuts and
+    # restarts after a cut
+    _SCAN0 = 64
     _MAX_VERTICES = 32
 
     def __init__(self, prior: ParamBox, sigma: float):
@@ -437,9 +474,13 @@ class OnlineBoxEstimator:
     def _halfspace_pairs(A: np.ndarray, q: np.ndarray,
                          sigma: float) -> tuple[np.ndarray, np.ndarray]:
         # each measurement's pair is adjacent
-        G_all = np.stack([A, -A], axis=1).reshape(-1, 3)
-        h_all = np.stack([q + sigma, -(q - sigma)], axis=1).reshape(-1)
-        return G_all, h_all
+        G = np.empty((A.shape[0], 2, 3))
+        G[:, 0] = A
+        np.negative(A, out=G[:, 1])
+        h = np.empty((q.size, 2))
+        h[:, 0] = q + sigma
+        h[:, 1] = -(q - sigma)
+        return G.reshape(-1, 3), h.reshape(-1)
 
     @staticmethod
     def _checked(A, q) -> tuple[np.ndarray, np.ndarray]:
@@ -486,22 +527,25 @@ class OnlineBoxEstimator:
 
     def _ingest(self, A, q, stop: bool) -> tuple[int, bool]:
         A, q = self._checked(A, q)
-        i0, changed = self._arc_prefix(A, q, stop)
-        G_all, h_all = self._halfspace_pairs(A[i0:], q[i0:], self.sigma)
-        idx, n = 0, G_all.shape[0]
-        while idx < n and not changed:
-            hits = np.flatnonzero(self._lp.violates(G_all[idx:], h_all[idx:]))
-            j = idx + int(hits[0]) if hits.size else n
-            if stop:
-                j -= j % 2               # the whole measurement of the first cut
-            self._lp.append_rows(G_all[idx:j], h_all[idx:j])
-            idx = min(j + 1 + stop, n)
-            for jj in range(j, idx):
-                self._process_moving_row(G_all[jj], h_all[jj])
-            changed = stop and j < n
-        used = i0 + idx // 2
-        self.n_measurements += used
-        return used, changed
+        i, changed = self._arc_prefix(A, q, stop)
+        # the LP phase scans windows of measurements that start at _SCAN0 and
+        # double while no strip can move a bound; a strip that may goes
+        # through the per-row path, as in `add`
+        n, w = A.shape[0], self._SCAN0
+        bu, bl = q + self.sigma, q - self.sigma
+        while i < n and not changed:
+            e = min(n, i + w)
+            j = i + self._lp.first_cut(A[i:e], bu[i:e], bl[i:e])
+            self._lp.append_rows(*self._halfspace_pairs(A[i:j], q[i:j], self.sigma))
+            if j == e:
+                i, w = e, 2 * w
+                continue
+            moved = self._process_moving_row(A[j], bu[j])
+            moved |= self._process_moving_row(-A[j], -bl[j])
+            i, w = j + 1, self._SCAN0
+            changed = stop and moved
+        self.n_measurements += i
+        return i, changed
 
     # --- polygon phase ---
 
@@ -568,13 +612,14 @@ class OnlineBoxEstimator:
 
     # --- LP phase ---
 
-    def _process_moving_row(self, a: np.ndarray, b: float) -> None:
+    def _process_moving_row(self, a: np.ndarray, b: float) -> bool:
         try:
             moved = self._lp.process_row(a, b)
         except InfeasibleLPError as exc:
             raise ModelInvalidatedError(_INCONSISTENT) from exc
         if moved:
             self._set_box(*self._lp.bounds())
+        return moved
 
     def _set_box(self, lo: np.ndarray, hi: np.ndarray) -> None:
         """Nest new bounds into the current box; count the rebound."""

@@ -11,12 +11,13 @@ concentration ratio, so terminal feasibility holds under any mismatch.
    before the guaranteed lower edge of the t1 window, then a certainty-
    equivalence switch; the singular control is refreshed as the box shrinks.
 
-On the adaptive singular arc the plant is propagated in closed form (arc.py):
-the states at a block of sampling instants come from one vectorized solve and
-the ratio event from its exact expression, so no step size or event tolerance
-is involved.  realized_batch_times evaluates committed decisions with the same
-arc formulas, and so does process.integrate, which runs the committed decisions
-of the open-loop strategies.
+On the adaptive singular arc the plant is propagated in closed form (arc.py),
+one Arc per singular control: its ratio event comes once from the exact
+expression and its states at the sampling instants from vectorized solves
+over blocks of samples, until a box update moves the control, so no step size
+or event tolerance is involved.  realized_batch_times evaluates committed
+decisions with the same arc formulas, and so does process.integrate, which
+runs the committed decisions of the open-loop strategies.
 """
 
 from __future__ import annotations
@@ -162,17 +163,11 @@ def nominal_strategy(P0: ParamBox, p_true: PlantParams, spec: ProcessSpec, *,
 
 @dataclass(frozen=True)
 class RobustConfig:
-    objective: str = "best"        # "best": deviation from each scenario's optimum;
-                                   # "nominal": deviation from the mid-box outcome
     n_lhs: int = 16
     lhs_seed: int = 2718
     coarse_grid: int = 33
     u_resolution: float = 1e-4
     max_sweeps: int = 4
-
-    def __post_init__(self):
-        if self.objective not in ("nominal", "best"):
-            raise ConfigError(f"unknown robust objective {self.objective!r}")
 
 
 def box_scenarios(P0: ParamBox, cfg: RobustConfig) -> np.ndarray:
@@ -216,9 +211,8 @@ def robust_decision(P0: ParamBox, spec: ProcessSpec,
                     windows: SwitchWindows | None = None) -> StrategyDecision:
     """Min-max commitment of (t1, u_s) over a scenario set inside the box.
 
-    Objective "best" minimizes the worst squared excess of the realized batch
-    time over each scenario plant's own optimum; "nominal" measures deviation
-    from the mid-box plant's time under the same decision instead.  Scenario
+    The objective is the worst squared excess of the realized batch time over
+    each scenario plant's own optimum.  Scenario
     times are capped at t_max, so stalled corner plants stay in the worst case
     instead of being dropped.  `scenarios` defaults to vertices + midpoint +
     Latin-hypercube points of the box itself.
@@ -227,21 +221,12 @@ def robust_decision(P0: ParamBox, spec: ProcessSpec,
         windows = project_switch_windows(P0, spec)
     scen = box_scenarios(P0, cfg) if scenarios is None else np.atleast_2d(scenarios)
     nom = nominal_decision(P0, spec)
-    if cfg.objective == "best":
-        ref = np.minimum(plan_vectorized(scen, spec)["tf"], spec.t_max)
+    ref = np.minimum(plan_vectorized(scen, spec)["tf"], spec.t_max)
 
-        def objective(t1_c: float, u_c: float) -> float:
-            tf = np.minimum(realized_batch_times(scen, t1_c, u_c, spec), spec.t_max)
-            dev = tf - ref
-            return float(np.max(dev * dev))
-    else:
-        mid_arr = P0.mid().as_array()
-
-        def objective(t1_c: float, u_c: float) -> float:
-            rows = np.vstack([scen, mid_arr[None, :]])
-            tf = np.minimum(realized_batch_times(rows, t1_c, u_c, spec), spec.t_max)
-            dev = tf[:-1] - tf[-1]
-            return float(np.max(dev * dev))
+    def objective(t1_c: float, u_c: float) -> float:
+        tf = np.minimum(realized_batch_times(scen, t1_c, u_c, spec), spec.t_max)
+        dev = tf - ref
+        return float(np.max(dev * dev))
 
     t1_lo, t1_hi = windows.t1
     u_lo, u_hi = windows.u_band
@@ -298,16 +283,19 @@ class NoiseStream:
         return self._values[k]
 
 
+# samples per block of singular-arc states: Arc.states costs about 0.17 ms
+# per call plus 0.25 us per sample (break-even near 660 samples), and the
+# samples after a control change are recomputed, so each control's blocks
+# start near that size and double while the control holds
+_BLOCK0 = 512
+_BLOCK_MAX = 8192
+
+
 @dataclass(frozen=True)
 class AdaptiveConfig:
     shrink_ratio: float = 0.5      # window must at least halve to count as informative
     max_reopts: int = 10
-    refresh_singular: str = "each_sample"   # or "hold"
     record_boxes: bool = False
-
-    def __post_init__(self):
-        if self.refresh_singular not in ("each_sample", "hold"):
-            raise ConfigError(f"unknown refresh mode {self.refresh_singular!r}")
 
 
 def _cost_variation(box: ParamBox, spec: ProcessSpec) -> float:
@@ -421,10 +409,11 @@ def adaptive_strategy(P0: ParamBox, p_true: PlantParams, spec: ProcessSpec,
         y = run_concentrate(t_now, t1_commit, y)
         t_now = t1_commit
 
-    # phase 2: singular arc in closed form, evaluated at the sampling instants
-    # so that control refreshes and box updates take effect exactly there
+    # phase 2: singular arc in closed form, one Arc per control.  Its states
+    # come in blocks of sampling instants, each ingested until a box change
+    # moves the mid-box control; the plant then re-anchors at that sample
+    # under the new control, and the rest of the block is recomputed.
     u_now = singular_control(est.box.mid())
-    refresh = cfg.refresh_singular == "each_sample"
     band_degenerate = est.box.widths()[1] + est.box.widths()[2] < 1e-12
     p1t, p2t, p3t = p_true.p1, p_true.p2, p_true.p3
     ln_rf = math.log(rf)
@@ -432,59 +421,48 @@ def adaptive_strategy(P0: ParamBox, p_true: PlantParams, spec: ProcessSpec,
     k_next = int(math.floor(t_now / dt + 1e-9)) + 1
     x_now, v_now = math.log(y[0]), math.log(y[1])
     t_event = None
-    block = 256
     while t_event is None:
-        if t_now >= spec.t_max:
-            return BatchResult("adaptive", p_true, t1_commit, math.nan, math.nan,
-                               feasible=False, regret=math.nan, reopt_count=reopts,
-                               timed_out=True, box_history=boxes)
         arc = Arc(t_now, x_now, v_now, u_now, p1t, p2t, p3t, m)
+        y_ev = arc.ratio_y(ln_rf)
         t_ev, x_ev, v_ev = (float(a) for a in arc.ratio_event(ln_rf))
-        ts = (k_next + np.arange(block)) * dt
-        filled = int(np.searchsorted(ts, t_ev))     # samples before the event
-        if filled < block:
-            t_event = t_ev
-        ts = ts[:filled]
-        lc1, lc2 = arc.states(ts, arc.ratio_y(ln_rf))
-        if filled > 0:
-            q_true = p1t - p2t * lc1 - p3t * lc2
+        block, u_next = _BLOCK0, None
+        while u_next is None and t_event is None:
+            if t_now >= spec.t_max:
+                return BatchResult("adaptive", p_true, t1_commit, math.nan, math.nan,
+                                   feasible=False, regret=math.nan, reopt_count=reopts,
+                                   timed_out=True, box_history=boxes)
+            ts = (k_next + np.arange(block)) * dt
+            filled = int(np.searchsorted(ts, t_ev))     # samples before the event
+            ts = ts[:filled]
+            lc1, lc2 = arc.states(ts, y_ev)
+            q_noisy = (p1t - p2t * lc1 - p3t * lc2
+                       + noise.eta(np.arange(k_next, k_next + filled)))
             rows = np.column_stack([np.ones(filled), -lc1, -lc2])
-            q_noisy = q_true + noise.eta(np.arange(k_next, k_next + filled))
-            start = 0
-            rewound = False
-            while start < filled:
-                n_used, changed = est.add_rows_stop_on_change(rows[start:], q_noisy[start:])
-                start += n_used
+            used = 0
+            while used < filled:
+                n_used, changed = est.add_rows_stop_on_change(rows[used:], q_noisy[used:])
+                used += n_used
                 if not changed:
                     break
-                log_box(float(ts[start - 1]))
-                if refresh and not band_degenerate:
-                    u_new = singular_control(est.box.mid())
-                    pending = start < filled or t_event is not None
-                    if pending and abs(u_new - u_now) > 1e-13:
-                        # the box changed at sample `start`; later samples (and
-                        # any event) were computed under the superseded control
-                        if rec is not None:
-                            rec.append((ts[:start], np.exp(lc1[:start]),
-                                        np.exp(lc2[:start]), u_now))
-                        u_now = u_new
-                        t_now = float(ts[start - 1])
-                        x_now, v_now = float(lc1[start - 1]), float(lc2[start - 1])
-                        k_next += start
-                        block = 64
-                        t_event = None
-                        rewound = True
+                log_box(float(ts[used - 1]))
+                if not band_degenerate:
+                    u_ref = singular_control(est.box.mid())
+                    if abs(u_ref - u_now) > 1e-13:
+                        u_next = u_ref       # later samples of this block are void
                         break
-                    u_now = u_new
-            if rewound:
-                continue
+            if u_next is None:
+                used = filled
+                if filled < block:
+                    t_event = t_ev
+                block = min(2 * block, _BLOCK_MAX)
             if rec is not None:
-                rec.append((ts, np.exp(lc1), np.exp(lc2), u_now))
-            if t_event is None:
-                t_now = float(ts[-1])
-                x_now, v_now = float(lc1[-1]), float(lc2[-1])
-                k_next += filled
-                block = min(block * 2, 4096)
+                rec.append((ts[:used], np.exp(lc1[:used]), np.exp(lc2[:used]), u_now))
+            if used:
+                t_now = float(ts[used - 1])
+                x_now, v_now = float(lc1[used - 1]), float(lc2[used - 1])
+                k_next += used
+        if u_next is not None:
+            u_now = u_next
 
     end = PlantState(t_event, math.exp(x_ev), math.exp(v_ev))
     post, feasible = _dilute_to_target(end, spec)

@@ -102,26 +102,81 @@ def test_lp_single_constraint():
     assert est.box.hi[0] == pytest.approx(17.0)
 
 
+def _random_strips(rng):
+    A = rng.normal(size=(10, 3))
+    return A, rng.normal(size=10), 1.0 + rng.uniform()
+
+
+def _integer_strips(rng):
+    """Strips with coefficients in {-1, 0, 1} and integer centres: many of
+    them meet at each vertex, so the pivots see degenerate ratio-test ties."""
+    A = rng.integers(-1, 2, size=(10, 3)).astype(float)
+    A[0, 0] = 0.0                       # no polygon: the LP takes every row
+    return A, rng.integers(-1, 2, size=10).astype(float), 1.0
+
+
 def test_lp_vs_vertex_enumeration():
     rng = np.random.default_rng(42)
     box = ParamBox((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
     worst = 0.0
-    for _ in range(40):
-        A = rng.normal(size=(10, 3))
-        q = rng.normal(size=10)
-        sigma = 1.0 + rng.uniform()
-        G, h = _halfspaces(A, q, sigma)
-        try:
-            est = _est_from_rows(A, q, sigma, box)
-        except ModelInvalidatedError:
-            assert lp_vertex_enumeration(np.array([1.0, 0.0, 0.0]), G, h, box) is None
-            continue
-        j, sign = rng.integers(3), rng.choice([1.0, -1.0])   # one of the six bounds
-        ref = lp_vertex_enumeration(sign * np.eye(3)[j], G, h, box)
-        assert ref is not None
-        bound = est.box.lo[j] if sign > 0 else -est.box.hi[j]
-        worst = max(worst, abs(bound - ref[1]))
+    for draw in (_random_strips, _integer_strips):
+        n_solved = 0
+        for _ in range(40):
+            A, q, sigma = draw(rng)
+            G, h = _halfspaces(A, q, sigma)
+            try:
+                est = _est_from_rows(A, q, sigma, box)
+            except ModelInvalidatedError:
+                assert lp_vertex_enumeration(np.array([1.0, 0.0, 0.0]), G, h, box) is None
+                continue
+            n_solved += 1
+            j, sign = rng.integers(3), rng.choice([1.0, -1.0])   # one of the six bounds
+            ref = lp_vertex_enumeration(sign * np.eye(3)[j], G, h, box)
+            assert ref is not None
+            bound = est.box.lo[j] if sign > 0 else -est.box.hi[j]
+            worst = max(worst, abs(bound - ref[1]))
+        assert n_solved >= 10
     assert worst <= 1e-7
+
+
+def test_strip_holding_on_the_whole_box_is_not_stored():
+    """A strip that contains the whole current box adds no LP column on any
+    ingest path (fails where such rows are appended and dropped later)."""
+    prior = ParamBox((20.6, 2.0, 0.0), (20.75, 4.0, 1.0))     # p1 narrower than 2*sigma
+    A, q = _synthetic_rows(40, np.random.default_rng(3))
+    strip = np.array([[1.0, 0.0, 0.0]]), np.array([20.675])  # 20.575 <= p1 <= 20.775
+
+    def ingest(est):
+        est.add_rows(A, q)
+        assert not hasattr(est._lp, "k")                   # the LP, not the polygon
+        return est._lp.m, est.box
+
+    paths = {
+        "add": lambda est: est.add(Measurement(0.0, 20.675, 1.0, 1.0)),
+        "add_rows": lambda est: est.add_rows(*strip),
+        "stop_on_change": lambda est: est.add_rows_stop_on_change(*strip),
+    }
+    for name, path in paths.items():
+        est = OnlineBoxEstimator(prior, 0.1)
+        m, box = ingest(est)
+        path(est)
+        assert est._lp.m == m, name
+        assert est.box == box and est.n_measurements == 41, name
+
+
+def test_lp_stores_exactly_the_rows_that_cut_the_box():
+    """A half-space that cuts the box but excludes no cached optimizer is kept
+    for later re-solves; one that holds on the whole box is not."""
+    a = np.array([1.0, -1.0, 0.0])      # p1 - p2: 23 at most on PRIOR, 21 at its optimizers
+    appends = {"process_row": lambda lp, b: lp.process_row(a, b),
+               "append_rows": lambda lp, b: lp.append_rows(a[None, :], np.array([b]))}
+    for name, append in appends.items():
+        lp = _WarmBoundLP(PRIOR)
+        append(lp, 23.5)
+        assert lp.m == 6, name
+        append(lp, 22.0)
+        assert lp.m == 7, name
+        assert np.array_equal(np.concatenate(lp.bounds()), PRIOR.lo + PRIOR.hi), name
 
 
 def test_lp_infeasible_distinct_from_unbounded():
