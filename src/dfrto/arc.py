@@ -120,15 +120,16 @@ def _log1p_rel(y: np.ndarray) -> np.ndarray:
 class Arc:
     """The plant from (t0, x0 = ln c1, v0 = ln c2) under a constant control u.
 
-    t0, x0, v0 and the parameters p1, p2, p3 may be arrays of one shape.  For
-    u < 1, v = v0 - k*Y and t = t0 + T*F(Y, r) with Y = x - x0.
+    t0, x0, v0 and the parameters p1, p2, p3 may be arrays of one shape, and
+    so may u if every control is below _U_FROZEN.  For u < 1, v = v0 - k*Y
+    and t = t0 + T*F(Y, r) with Y = x - x0.
     """
 
     def __init__(self, t0, x0, v0, u: float, p1, p2, p3, m: float):
         self.t0, self.x0, self.v0, self.p3, self.m = t0, x0, v0, p3, m
         self.u = u
         self.q0 = np.asarray(p1 - p2 * x0 - p3 * v0, dtype=float)
-        self.frozen = u >= _U_FROZEN         # c1 stays constant
+        self.frozen = np.ndim(u) == 0 and u >= _U_FROZEN     # c1 stays constant
         if not self.frozen:
             self.k = u / (1.0 - u)
             with np.errstate(all="ignore"):

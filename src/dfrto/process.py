@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -160,9 +160,9 @@ class ProcessSpec:
             fh.write("\n")
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """One flux sample: noisy q, exactly measured concentrations."""
+class Measurement(NamedTuple):
+    """One flux sample: noisy q, exactly measured concentrations.  A named
+    tuple, since a full measurement stream builds one per sample."""
 
     t: float
     q_m: float

@@ -16,7 +16,11 @@ with Bland's rule (deterministic, anti-cycling) working on the dual, which
 keeps the basis 3x3 regardless of how many measurements accumulate; each
 pivot inverts that basis explicitly in Python floats.  A half-space that
 holds on the whole current box is filtered out at ingest, since the box only
-shrinks and it can never bind.
+shrinks and it can never bind.  Per-row `add` first screens the whole strip
+against a hull box of the current box and the cached LP optimizers: when the
+strip contains that hull, neither half-space can be stored or move a bound,
+which the screen proves with six float products and two sums (no tolerance,
+see `_WarmBoundLP.strip_is_inert`), and most samples of a batch stop there.
 """
 
 from __future__ import annotations
@@ -319,6 +323,14 @@ class _WarmBoundLP:
     inside every such half-space, and since the box only shrinks, such a row
     can never bind again.  The kept columns keep their order, so Bland's rule
     meets them in the same order as before.
+
+    The hull box H (`hull`, Python floats) is the smallest box holding
+    [lo, hi] and every cached optimizer; it is refreshed wherever either
+    changes (at construction and after every re-solve).  `process_row`
+    evaluates a.x at the optimizers as left-to-right float sums, which H
+    bounds term by term, so `strip_is_inert` can rule out a whole
+    measurement from six products and two sums without relying on any
+    tolerance.
     """
 
     _CAP0 = 512
@@ -338,6 +350,37 @@ class _WarmBoundLP:
         self._rhs = [(-sign * eye[j]).tolist() for j in range(3) for sign in (1.0, -1.0)]
         self._basis = np.array([[3, 4, 5], [0, 1, 2]] * 3)
         self.x_opt = np.array([self.lo, self.hi] * 3)
+        self._refresh_hull()
+
+    def _refresh_hull(self) -> None:
+        """Cache the optimizers as Python floats, and the hull box of them and
+        [lo, hi] as hull = (H_lo_0, H_lo_1, H_lo_2, H_hi_0, H_hi_1, H_hi_2)."""
+        self._x_rows = self.x_opt.tolist()
+        self.hull = tuple(np.minimum(self.lo, self.x_opt.min(axis=0)).tolist()
+                          + np.maximum(self.hi, self.x_opt.max(axis=0)).tolist())
+
+    def strip_is_inert(self, a: tuple[float, float, float], bl: float, bu: float) -> bool:
+        """Whether `process_row` would neither store nor re-solve for either
+        half-space of the strip bl <= a.p <= bu, i.e. for (a, bu) and then
+        (-a, -bl).
+
+        Exact, with no tolerance: every term a_i*x_i that `process_row` (x an
+        optimizer) or `_cuts_box` (x a corner of [lo, hi]) forms has x_i in
+        [H_lo_i, H_hi_i], and a rounded product is monotone in x_i, so the
+        term lies between a_i*H_lo_i and a_i*H_hi_i.  Rounded left-to-right
+        sums are monotone in each term, so each of their sums lies in
+        [s_lo, s_hi] below.  With s_hi <= bu, every a.x <= bu <= the re-solve
+        threshold and the box maximum of a.p is at most bu: (a, bu) is
+        dropped.  Negation is exact, so the sums of -a are exactly the
+        negated sums of a, and s_lo >= bl drops (-a, -bl) likewise.  A
+        non-finite sum fails a comparison and the strip is not inert.
+        """
+        l0, l1, l2, h0, h1, h2 = self.hull
+        a0, a1, a2 = a
+        u0, v0 = (a0 * h0, a0 * l0) if a0 >= 0.0 else (a0 * l0, a0 * h0)
+        u1, v1 = (a1 * h1, a1 * l1) if a1 >= 0.0 else (a1 * l1, a1 * h1)
+        u2, v2 = (a2 * h2, a2 * l2) if a2 >= 0.0 else (a2 * l2, a2 * h2)
+        return u0 + u1 + u2 <= bu and v0 + v1 + v2 >= bl    # s_hi, s_lo
 
     def _reserve(self, n: int) -> None:
         while self.m + n > self._cols.shape[1]:
@@ -385,10 +428,13 @@ class _WarmBoundLP:
         Returns True when at least one bound moved.
         """
         thr = b + _MOVE_REL * (1.0 + abs(b))
-        # compared as Python floats: numpy's per-call overhead dominates here
-        vals = (self.x_opt @ a).tolist()
+        # left-to-right sums in Python floats, as `strip_is_inert` bounds them;
+        # numpy's per-call overhead would dominate here
+        a_f = a.tolist()
+        a0, a1, a2 = a_f
+        vals = [a0 * x0 + a1 * x1 + a2 * x2 for x0, x1, x2 in self._x_rows]
         moves = max(vals) > thr
-        if not moves and not self._cuts_box(a.tolist(), b):
+        if not moves and not self._cuts_box(a_f, b):
             return False
         self._reserve(1)
         self._cols[:, self.m] = a
@@ -417,6 +463,7 @@ class _WarmBoundLP:
                 self.lo[j] = max(-val - pad, self.lo[j])
             else:
                 self.hi[j] = min(val + pad, self.hi[j])
+        self._refresh_hull()
 
     def _drop_redundant(self) -> None:
         """Drop the non-basic rows that hold on the whole box [lo, hi]."""
@@ -449,6 +496,12 @@ class OnlineBoxEstimator:
     columns.  Per-row `add`, bulk `add_rows` and `add_rows_stop_on_change`
     give the same boxes bit for bit.  `n_lp_rebounds` counts the half-spaces
     that moved a bound.
+
+    In the LP phase `add` skips the LP for a measurement whose strip contains
+    the LP's hull box (`_WarmBoundLP.strip_is_inert`).  The screen passes
+    only where both half-spaces would be dropped unstored, so it changes no
+    box, column or counter.  The bulk paths scan blocks with `first_cut`
+    instead.
     """
 
     # exact equalities (sigma = 0) make the LP duals degenerate; a tiny floor
@@ -514,9 +567,11 @@ class OnlineBoxEstimator:
                     self._cut_arc(a1, up, lo)
                     break
         else:
-            a = np.array((1.0, a1, k))
-            self._process_moving_row(a, q + self.sigma)
-            self._process_moving_row(-a, -(q - self.sigma))
+            bu, bl = q + self.sigma, q - self.sigma
+            if not self._lp.strip_is_inert((1.0, a1, k), bl, bu):
+                a = np.array((1.0, a1, k))
+                self._process_moving_row(a, bu)
+                self._process_moving_row(-a, -bl)
         self.n_measurements += 1
         return self.box
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .arc import Arc
+from .arc import _U_FROZEN, Arc
 from .errors import ConfigError, SimulationTimeout
 from .policy import plan_vectorized, singular_control
 from .process import (PlantParams, PlantState, ProcessSpec, StopCondition,
@@ -39,25 +39,39 @@ from .setmem import OnlineBoxEstimator, ParamBox
 
 # --- closed-form evaluation of a committed decision -----------------------------
 
-def realized_batch_times(P, t1_commit: float, u_commit: float,
+def realized_batch_times(P, t1_commit, u_commit: float,
                          spec: ProcessSpec) -> np.ndarray:
     """Final batch time when (t1_commit, u_commit) runs on each plant row of P.
 
     The ratio-feedback second switch and the instantaneous dilution are
     implicit.  Rows whose flux stalls before the ratio target are returned as
-    +inf; callers cap at spec.t_max.  Vectorized over parameter rows.
+    +inf; callers cap at spec.t_max.  Vectorized over parameter rows; a column
+    (k, 1) of t1 commits broadcasts against the n rows into (k, n) times.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     if not 0.0 < u_commit <= 1.0:
         raise ConfigError(f"committed singular control must be in (0, 1]: {u_commit}")
+    return _ratio_times(P, t1_commit, _concentrate_end(P, t1_commit, spec), u_commit, spec)
+
+
+def _concentrate_end(P: np.ndarray, t1_commit, spec: ProcessSpec):
+    """(ln c1, ln c2) of each plant row of P after concentrating until t1_commit."""
     p1, p2, p3 = P[:, 0], P[:, 1], P[:, 2]
-    ln_rf = math.log(spec.ratio_f)
     conc = Arc(0.0, math.log(spec.c1_0), math.log(spec.c2_0), 0.0, p1, p2, p3, spec.mass)
     # at u = 0, r = p2/q0 > 0 wherever the plant moves, so the stall
     # asymptote brackets every row
-    x_a, v_a = conc.states(t1_commit, math.inf)
-    sing = Arc(t1_commit, x_a, v_a, u_commit, p1, p2, p3, spec.mass)
-    return sing.ratio_event(ln_rf)[0]
+    return conc.states(t1_commit, math.inf)
+
+
+def _ratio_times(P: np.ndarray, t1_commit, end, u, spec: ProcessSpec) -> np.ndarray:
+    """Ratio-event times of the singular arcs under u from the concentrate end
+    states `end` at t1_commit; a column of controls gives a row of times per
+    control."""
+    if np.ndim(u) and np.any(np.asarray(u) >= _U_FROZEN):   # the u = 1 closed form
+        return np.vstack([_ratio_times(P, t1_commit, end, float(ui), spec)
+                          for ui in np.ravel(u)])
+    sing = Arc(t1_commit, end[0], end[1], u, P[:, 0], P[:, 1], P[:, 2], spec.mass)
+    return sing.ratio_event(math.log(spec.ratio_f))[0]
 
 
 # --- batch execution --------------------------------------------------------------
@@ -179,13 +193,15 @@ def box_scenarios(P0: ParamBox, cfg: RobustConfig) -> np.ndarray:
 
 
 def _golden_min(fun, lo: float, hi: float, res: float, n_coarse: int) -> tuple[float, float]:
-    """Deterministic 1-D minimization: coarse grid bracket + golden section."""
+    """Deterministic 1-D minimization: coarse grid bracket + golden section.
+
+    fun takes one point or a 1-D array of points; the coarse grid is one call.
+    """
     if hi - lo <= res:
         x = 0.5 * (lo + hi)
         return x, fun(x)
     grid = np.linspace(lo, hi, max(n_coarse, 5))
-    vals = [fun(float(x)) for x in grid]
-    i = int(np.argmin(vals))
+    i = int(np.argmin(fun(grid)))
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, len(grid) - 1)]
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -223,10 +239,16 @@ def robust_decision(P0: ParamBox, spec: ProcessSpec,
     nom = nominal_decision(P0, spec)
     ref = np.minimum(plan_vectorized(scen, spec)["tf"], spec.t_max)
 
-    def objective(t1_c: float, u_c: float) -> float:
-        tf = np.minimum(realized_batch_times(scen, t1_c, u_c, spec), spec.t_max)
-        dev = tf - ref
-        return float(np.max(dev * dev))
+    def worst(tf: np.ndarray):
+        """Worst squared excess over the scenarios, per row of times."""
+        dev = np.minimum(tf, spec.t_max) - ref
+        return np.max(dev * dev, axis=-1)
+
+    def column(x):
+        return x if np.ndim(x) == 0 else np.reshape(x, (-1, 1))
+
+    def objective(t1_c, u_c: float):
+        return worst(realized_batch_times(scen, column(t1_c), u_c, spec))
 
     t1_lo, t1_hi = windows.t1
     u_lo, u_hi = windows.u_band
@@ -241,8 +263,10 @@ def robust_decision(P0: ParamBox, spec: ProcessSpec,
         if val_t < best - 1e-15:
             t1_c, best, improved = t1_new, val_t, True
         if u_hi - u_lo > cfg.u_resolution:
-            u_new, val_u = _golden_min(lambda x: objective(t1_c, x), u_lo, u_hi,
-                                       cfg.u_resolution, cfg.coarse_grid)
+            end = _concentrate_end(scen, t1_c, spec)     # shared by every u
+            u_new, val_u = _golden_min(
+                lambda x: worst(_ratio_times(scen, t1_c, end, column(x), spec)),
+                u_lo, u_hi, cfg.u_resolution, cfg.coarse_grid)
             if val_u < best - 1e-15:
                 u_c, best, improved = u_new, val_u, True
         if not improved:

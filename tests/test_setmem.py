@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -16,6 +17,8 @@ from dfrto.strategies import optimal_strategy
 from oracles import grid_feasible_box, lp_vertex_enumeration
 
 PRIOR = ParamBox((15.0, 2.0, 0.0), (25.0, 4.0, 1.0))
+# with sigma = 1, a strip is wider than this box along any regressor below
+NARROW = ParamBox((20.6, 2.9, 0.29), (20.8, 3.1, 0.31))
 TRUE_P = np.array([20.7, 3.0, 0.3])
 
 
@@ -193,6 +196,187 @@ def test_lp_determinism():
     A, q = _synthetic_rows(50, rng)
     e1, e2 = _est_from_rows(A, q, 0.1), _est_from_rows(A, q, 0.1)
     assert e1.box == e2.box and np.array_equal(e1._lp.x_opt, e2._lp.x_opt)
+
+
+# --- the LP phase: hull screen and marginal cuts ------------------------------------
+
+def _lp_state(seed: int, n: int, sigma: float, prior: ParamBox = PRIOR):
+    """An estimator in its LP phase after n >= 2 rows through a random truth."""
+    rng = np.random.default_rng(seed)
+    truth = rng.uniform(prior.lo, prior.hi)
+    c1 = np.exp(rng.uniform(np.log(50.0), np.log(400.0), n))
+    c2 = np.exp(rng.uniform(np.log(0.5), np.log(50.0), n))
+    est = OnlineBoxEstimator(prior, sigma)
+    for x1, x2 in zip(c1.tolist(), c2.tolist()):
+        a1, k = -math.log(x1), -math.log(x2)
+        q = truth[0] + a1 * truth[1] + k * truth[2] + rng.uniform(-sigma, sigma)
+        est.add(Measurement(0.0, q, x1, x2))
+    assert type(est._lp) is _WarmBoundLP
+    return est, rng
+
+
+def _dot(a, x) -> float:
+    """a.x summed left to right in Python floats."""
+    return a[0] * x[0] + a[1] * x[1] + a[2] * x[2]
+
+
+def _hull_sums(a, lo, hi) -> tuple[float, float]:
+    """(max, min) of a.p over the box [lo, hi], summed left to right."""
+    up, down = zip(*[(ai * h, ai * l) if ai >= 0.0 else (ai * l, ai * h)
+                     for ai, l, h in zip(a, lo, hi)])
+    return up[0] + up[1] + up[2], down[0] + down[1] + down[2]
+
+
+def _hull_of(lp) -> tuple:
+    """The hull box of [lo, hi] and the cached optimizers, from scratch."""
+    return tuple(np.minimum(lp.lo, lp.x_opt.min(axis=0)).tolist()
+                 + np.maximum(lp.hi, lp.x_opt.max(axis=0)).tolist())
+
+
+def _outcome(est, ingest):
+    """The estimator state after ingest, or the error it raised."""
+    try:
+        ingest(est)
+    except ModelInvalidatedError:
+        return "invalidated"
+    lp = est._lp
+    return (est.box, lp.m, lp.x_opt.tolist(), lp.hull, est.n_lp_rebounds, est.n_measurements)
+
+
+def _two_step(a, q):
+    """`add`'s LP branch without the screen: both half-spaces go to the LP."""
+    def ingest(est):
+        row = np.array(a)
+        est._process_moving_row(row, q + est.sigma)
+        est._process_moving_row(-row, -(q - est.sigma))
+        est.n_measurements += 1
+    return ingest
+
+
+@pytest.mark.parametrize("kind", ["hull_hi", "hull_lo", "inside", "box_cut", "move_hi",
+                                  "move_lo"])
+@settings(max_examples=20)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(2, 30),
+       st.sampled_from([(NARROW, 1.0), (PRIOR, 0.5), (PRIOR, 0.05)]),
+       st.floats(0.05, 0.95), st.integers(-2, 2))
+def test_screened_add_matches_the_two_step_path(kind, seed, n, prior_sigma, frac, ulps):
+    """`add` skips the LP for a strip only where both half-spaces would be
+    no-ops: strips tangent to the hull box (to the ulp), strips that contain
+    it, strips that cut the box without moving a bound, and strips that move
+    one from either side leave the same state as the two
+    `_process_moving_row` steps."""
+    est, rng = _lp_state(seed, n, prior_sigma[1], prior_sigma[0])
+    lp = est._lp
+    c1, c2 = (float(x) for x in np.exp(rng.uniform(np.log([50.0, 0.5]), np.log([400.0, 50.0]))))
+    a = (1.0, -math.log(c1), -math.log(c2))
+    s_hi, s_lo = _hull_sums(a, lp.hull[:3], lp.hull[3:])
+    box_hi = _hull_sums(a, lp.lo.tolist(), lp.hi.tolist())[0]
+    vals = [_dot(a, x) for x in lp.x_opt.tolist()]
+    v_hi, v_lo = max(vals), min(vals)
+    s = est.sigma
+    q = {"hull_hi": s_hi - s, "hull_lo": s_lo + s, "inside": s_lo + frac * (s_hi - s_lo),
+         "box_cut": v_hi + frac * (box_hi - v_hi) - s,
+         "move_hi": v_hi - frac * (v_hi - v_lo) - s,
+         "move_lo": v_lo + frac * (v_hi - v_lo) + s}[kind]
+    for _ in range(abs(ulps)):
+        q = math.nextafter(q, math.copysign(math.inf, ulps))
+    screened = _outcome(copy.deepcopy(est), lambda e: e.add(Measurement(0.0, q, c1, c2)))
+    assert screened == _outcome(copy.deepcopy(est), _two_step(a, q))
+
+
+def test_screen_is_exact_at_tangency():
+    """A strip whose bound equals the hull sum is inert; one ulp inside is not."""
+    est, _ = _lp_state(1, 20, 1.0, NARROW)
+    lp = est._lp
+    a = (1.0, -math.log(120.0), -math.log(3.0))
+    s_hi, s_lo = _hull_sums(a, lp.hull[:3], lp.hull[3:])
+    assert s_hi - s_lo < 2.0               # the strip is wider than the hull
+    assert lp.strip_is_inert(a, s_hi - 2.0, s_hi)
+    assert not lp.strip_is_inert(a, s_hi - 2.0, math.nextafter(s_hi, -math.inf))
+    assert lp.strip_is_inert(a, s_lo, s_lo + 2.0)
+    assert not lp.strip_is_inert(a, math.nextafter(s_lo, math.inf), s_lo + 2.0)
+    assert not lp.strip_is_inert(a, -math.inf, math.inf * 0.0)   # nan: not inert
+
+
+def test_screen_covers_optimizers_outside_the_box():
+    """The duals meet the prior's facets only to the pivoting tolerance, so a
+    cached optimizer may sit just outside [lo, hi]; the screen bounds it
+    through the hull box, and a strip that holds on the box but excludes
+    that optimizer still re-solves."""
+    est, _ = _lp_state(1, 20, 1.0, NARROW)
+    lp = est._lp
+    c1, c2 = 120.0, 3.0
+    a = (1.0, -math.log(c1), -math.log(c2))
+    box_hi, box_lo = _hull_sums(a, lp.lo.tolist(), lp.hi.tolist())
+    corner = [h if ai >= 0.0 else l for ai, l, h in zip(a, lp.lo.tolist(), lp.hi.tolist())]
+    lp.x_opt[1] = [corner[0] + 1e-8, corner[1], corner[2]]     # max p1, 1e-8 outside
+    lp._refresh_hull()
+    q = box_hi - est.sigma + 1e-12
+    assert q - est.sigma <= box_lo and q + est.sigma >= box_hi   # holds on the box
+    screened = _outcome(copy.deepcopy(est), lambda e: e.add(Measurement(0.0, q, c1, c2)))
+    assert screened == _outcome(copy.deepcopy(est), _two_step(a, q))
+    assert screened[4] == est.n_lp_rebounds + 1
+
+
+def test_hull_follows_the_box_and_the_optimizers():
+    """The hull box is the min/max of the box and the cached optimizers after
+    the polygon lifts, after every re-solve and after a drop of redundant rows."""
+    rng = np.random.default_rng(31)
+    A, q = _synthetic_rows(300, rng)
+    A[:40, 2] = A[0, 2]                    # a polygon phase first
+    q[:40] = A[:40] @ TRUE_P + rng.uniform(-0.1, 0.1, 40)
+    est = OnlineBoxEstimator(PRIOR, 0.1)
+    est.add_rows(A[:41], q[:41])           # the 41st row lifts the polygon
+    assert type(est._lp) is _WarmBoundLP
+    assert est._lp.hull == _hull_of(est._lp) != PRIOR.lo + PRIOR.hi
+    moves = 0
+    for a, qi in zip(A[41:], q[41:]):
+        before = est.n_lp_rebounds
+        est.add(Measurement(0.0, qi, math.exp(-a[1]), math.exp(-a[2])))
+        moves += est.n_lp_rebounds > before
+        assert est._lp.hull == _hull_of(est._lp)
+    assert moves > 5
+    est._lp._drop_redundant()
+    assert est._lp.hull == _hull_of(est._lp)
+    est._lp.resolve(range(6))
+    assert est._lp.hull == _hull_of(est._lp)
+
+
+def test_marginal_cuts_agree_on_every_ingest_path():
+    """Rows that exclude the cached optimizer with the largest a.x by 2e-10
+    of (1 + |b|), above the 1e-11 at which `process_row` re-solves, move the
+    same bounds on the per-row, bulk and stop-on-change paths (a bulk scan
+    with a much coarser threshold misses them)."""
+    prior, sigma = NARROW, 1.0
+    ref, rng = _lp_state(7, 12, sigma, prior)
+    n0 = ref.n_measurements
+    rows, qs = [], []
+    for i in range(30):
+        c1, c2 = (float(x) for x in np.exp(rng.uniform(np.log([50.0, 0.5]),
+                                                       np.log([400.0, 50.0]))))
+        a = (1.0, -math.log(c1), -math.log(c2))
+        ax = max(_dot(a, x) for x in ref._lp.x_opt.tolist())
+        bu = ax - 2e-10 * (1.0 + abs(ax))
+        before = ref.n_lp_rebounds
+        ref.add(Measurement(0.0, bu - sigma, c1, c2))
+        assert ref.n_lp_rebounds == before + 1       # only the upper side re-solves
+        rows.append(a)
+        qs.append(bu - sigma)
+    # the same stream, rebuilt from its first n0 rows and the marginal ones
+    est0, _ = _lp_state(7, 12, sigma, prior)
+    assert est0.n_measurements == n0
+    A, q = np.array(rows), np.array(qs)
+    bulk = copy.deepcopy(est0)
+    bulk.add_rows(A, q)
+    blocks = copy.deepcopy(est0)
+    start = 0
+    while start < len(qs):
+        start += blocks.add_rows_stop_on_change(A[start:], q[start:])[0]
+    for est in (bulk, blocks):
+        assert est.box == ref.box
+        assert np.array_equal(est._lp.x_opt, ref._lp.x_opt)
+        assert est._lp.m == ref._lp.m
+        assert est.n_lp_rebounds == ref.n_lp_rebounds
 
 
 # --- boxes over every row ---------------------------------------------------------

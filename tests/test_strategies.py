@@ -14,6 +14,7 @@ from dfrto.strategies import (AdaptiveConfig, NoiseStream, RobustConfig,
                               nominal_decision, nominal_strategy,
                               optimal_strategy, realized_batch_times,
                               robust_decision, robust_strategy)
+from dfrto.strategies import _concentrate_end, _ratio_times
 
 
 def _point_box(p):
@@ -49,6 +50,21 @@ def test_realized_stall_returns_inf(spec):
     spec_short = ProcessSpec(t_max=30.0)
     tf = realized_batch_times(p.as_array()[None, :], 15.0, 1.0, spec_short)[0]
     assert tf > spec_short.t_max
+
+
+def test_realized_grids_match_single_commits(spec):
+    """A column of t1 commits, or of singular controls from one concentrate
+    end state (u = 1 included), gives the times of one call per commit."""
+    P = ParamBox.from_gamma_box((0.027, 900.0, 0.0), (0.033, 1100.0, 0.11)).vertices()
+    t1 = np.linspace(1.5, 3.0, 7)
+    grid = realized_batch_times(P, t1[:, None], 0.9, spec)
+    each = np.array([realized_batch_times(P, t, 0.9, spec) for t in t1.tolist()])
+    assert grid.shape == (7, len(P))
+    np.testing.assert_allclose(grid, each, rtol=1e-13)
+    u = np.array([0.5, 0.9, 0.99, 1.0])
+    grid = _ratio_times(P, 2.5, _concentrate_end(P, 2.5, spec), u[:, None], spec)
+    each = np.array([realized_batch_times(P, 2.5, x, spec) for x in u.tolist()])
+    assert np.array_equal(grid, each)
 
 
 @pytest.mark.parametrize("case_name", ["limiting_flux", "generalized"])
