@@ -20,6 +20,27 @@ with beta = p3*c1/m after a time s, so states and event times are explicit.
 Every routine broadcasts over numpy arrays: one arc per parameter row
 (realized_batch_times) or one arc at many sample times (the adaptive loop and
 process.integrate).
+
+One plant row at a few points is mostly numpy call overhead: a Halley pass
+over two points costs 35 to 70 numpy calls.  So `_ArcIntegral` also has a
+kernel in Python floats.  The shape of the call selects it: a scalar r and at
+most _FLOAT_POINTS points (the end state of a `process.integrate` arc, an
+event time through `Arc.time_to`, a tail block of the adaptive loop).
+Parameter rows and sample blocks stay on the array form.  The float kernel
+performs the array form's operations in the same order, with the same stopping
+rule (every point iterates until all points of the call have converged), and
+returns the same bits (a NaN's sign bit aside, which no comparison reads):
+  - Python's + - * / are the IEEE operations numpy's loops perform; where
+    numpy would divide by zero, the kernel takes the branch the resulting
+    inf or nan would have taken.
+  - Every transcendental is a numpy or scipy ufunc called on a Python float
+    (np.exp, np.expm1, np.log1p, scipy.special.expi), which runs the array
+    loop on one element.  Never use math.*: on an AVX-512 Xeon, math.exp,
+    math.expm1, math.log1p and math.log differ from numpy's array loops on
+    9,236, 17,008, 17,275 and 79 of 200,000 uniform inputs (on [-5, 5],
+    [-5, 5], [-0.999, 5] and [1e-3, 50]), while the scalar ufunc calls
+    matched the array loops on all of 20,000 inputs on [-600, 600].
+tests/test_arc.py checks the two forms bit for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +55,11 @@ _U_FROZEN = 1.0 - 1e-12   # controls at or above this run the u = 1 arc
 # underflows
 _ASYMPTOTIC_Z = 500.0
 _ASYMPTOTIC_TERMS = 9
+# a scalar r evaluates calls of at most this many points in Python floats: an
+# inverse breaks even with the array form at 12 to ~25 points (r = -0.3, 0.4,
+# 0, 1e-4) and takes 0.3 to 0.45 of its time at 8
+_FLOAT_POINTS = 8
+_INF, _NAN = float("inf"), float("nan")
 
 
 def _scaled_expi(z: np.ndarray) -> np.ndarray:
@@ -50,41 +76,86 @@ def _scaled_expi(z: np.ndarray) -> np.ndarray:
     return np.where(big, s / z, np.exp(-z) * expi(z))
 
 
+def _scaled_expi_float(z: float) -> float:
+    """_scaled_expi of one Python float, by the same operations in the same order."""
+    if abs(z) >= _ASYMPTOTIC_Z:
+        s = 1.0
+        for n in range(_ASYMPTOTIC_TERMS, 0, -1):
+            s = 1.0 + n * s / z
+        return s / z
+    return float(np.exp(-z)) * float(expi(z))
+
+
 class _ArcIntegral:
     """Y -> F(Y, r) for fixed r, with the parts that depend only on r kept.
 
     F(Y, 0) = 1 - e^(-Y); every other r uses the exponential-integral form.
+    A scalar r evaluates calls of at most _FLOAT_POINTS points in Python
+    floats (see the module docstring); the results are bitwise those of the
+    array form.
     """
 
     def __init__(self, r):
         self.r = np.asarray(r, dtype=float)
+        self._rf = float(self.r) if self.r.ndim == 0 else None
         self._g0 = None
+
+    def _consts(self):
+        """(1/r, e^(-1/r)*Ei(1/r)), computed once; floats for a scalar r."""
+        if self._g0 is None:
+            if self._rf is None:
+                self._z0 = 1.0 / self.r
+                self._g0 = _scaled_expi(self._z0)
+            else:
+                self._z0 = 1.0 / self._rf
+                self._g0 = _scaled_expi_float(self._z0)
+        return self._z0, self._g0
 
     def __call__(self, Y) -> np.ndarray:
         Y = np.asarray(Y, dtype=float)
+        if self._rf is None or Y.size > _FLOAT_POINTS:
+            return self._array(Y)
+        if Y.ndim == 0:
+            return np.float64(self._float(float(Y)))
+        return np.array([self._float(y) for y in Y.ravel().tolist()]).reshape(Y.shape)
+
+    def _array(self, Y: np.ndarray) -> np.ndarray:
         r = self.r
         if r.ndim == 0 and r == 0.0:
             return -np.expm1(-Y)
-        if self._g0 is None:
-            self._z0 = 1.0 / r
-            self._g0 = _scaled_expi(self._z0)
-        ei = (self._g0 - np.exp(-Y) * _scaled_expi(self._z0 - Y)) / r
+        z0, g0 = self._consts()
+        ei = (g0 - np.exp(-Y) * _scaled_expi(z0 - Y)) / r
         return ei if r.ndim == 0 else np.where(r == 0.0, -np.expm1(-Y), ei)
+
+    def _float(self, y: float) -> float:
+        """F(y, r) for a scalar r and one Python float y, by the operations of
+        the array form in the same order."""
+        r = self._rf
+        if r == 0.0:
+            return -float(np.expm1(-y))
+        z0, g0 = self._consts()
+        return (g0 - float(np.exp(-y)) * _scaled_expi_float(z0 - y)) / r
 
     def inverse(self, tau, y_hi) -> np.ndarray:
         """Y in (0, y_hi) with F(Y, r) = tau, elementwise (safeguarded Halley).
 
-        F(y_hi, r) must be at least tau; F increases with Y.
+        F(y_hi, r) must be at least tau; F increases with Y.  Every point
+        iterates until all points of the call have converged.
         """
         tau = np.asarray(tau, dtype=float)
+        if self._rf is not None and tau.size <= _FLOAT_POINTS and np.ndim(y_hi) == 0:
+            his = [0.0 + float(y_hi)] * tau.size
+            return np.array(self._inverse_floats(tau.ravel().tolist(), his)).reshape(tau.shape)
+        lo = np.zeros(np.broadcast(tau, self.r, y_hi).shape)
+        return self._inverse_array(tau, lo, lo + y_hi)
+
+    def _inverse_array(self, tau: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         r = self.r
-        lo = np.zeros(np.broadcast(tau, r, y_hi).shape)
-        hi = lo + y_hi
         y0 = -np.log1p(-tau)                  # the r = 0 solution
         y = np.where(tau <= 0.0, 0.0,
                      np.where(np.isfinite(y0) & (y0 > 0.0) & (y0 < hi), y0, 0.5 * hi))
         for _ in range(100):
-            f = self(y) - tau
+            f = self._array(y) - tau
             hi = np.where(f > 0.0, y, hi)
             lo = np.where(f < 0.0, y, lo)
             # F' = e^-Y/(1 - rY) and F''/F' = r/(1 - rY) - 1
@@ -98,6 +169,46 @@ class _ArcIntegral:
                 return y_new
             y = y_new
         return y
+
+    def _inverse_floats(self, taus: list, his: list) -> list:
+        """inverse() for a scalar r on lists of Python floats: the same
+        iteration, point by point.  A zero divisor, where numpy would return
+        inf or nan, makes the Halley step non-finite, so it bisects instead."""
+        r = self._rf
+        n = len(taus)
+        los = [0.0] * n
+        ys = []
+        for tau, hi in zip(taus, his):
+            if tau <= 0.0:
+                ys.append(0.0)
+                continue
+            y0 = -float(np.log1p(-tau))       # the r = 0 solution
+            ys.append(y0 if -_INF < y0 < _INF and 0.0 < y0 < hi else 0.5 * hi)
+        for _ in range(100):
+            done = True
+            for i in range(n):
+                y = ys[i]
+                f = self._float(y) - taus[i]
+                if f > 0.0:
+                    his[i] = y
+                elif f < 0.0:
+                    los[i] = y
+                lo, hi = los[i], his[i]
+                y_new = _NAN
+                g = 1.0 - r * y
+                if g != 0.0:
+                    step = f * float(np.exp(y)) * g
+                    d = 1.0 - 0.5 * step * (r / g - 1.0)
+                    if d != 0.0:
+                        y_new = y - step / d
+                if not -_INF < y_new < _INF or y_new < lo or y_new > hi:
+                    y_new = 0.5 * (lo + hi)
+                if not abs(y_new - y) <= 1e-14 * (1.0 + abs(y)):
+                    done = False
+                ys[i] = y_new
+            if done:
+                break
+        return ys
 
     def limit(self) -> np.ndarray:
         """F(inf, r): +inf for r > 0 (the flux stalls at Y = 1/r), finite for

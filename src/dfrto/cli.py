@@ -82,9 +82,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_reach(args) -> int:
     spec = _load_spec(args.config)
     if args.box:
-        with open(args.box) as fh:
-            raw = json.load(fh)
-        box = ParamBox.from_arrays(raw["lo"], raw["hi"])
+        box = ParamBox.from_json(args.box)
     else:
         box = get_case(args.case).prior_box(spec, args.uncertainty)
     windows = project_switch_windows(box, spec)

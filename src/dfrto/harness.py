@@ -136,24 +136,40 @@ def format_result_row(batch_id: int, seed: int, r: BatchResult) -> str:
 
 
 def read_results_csv(path: str) -> list[dict]:
+    """Rows of a results CSV; a missing file or a malformed row raises
+    ConfigError naming the file (and the line)."""
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read results {path!r}: {exc}") from exc
     rows = []
-    with open(path) as fh:
+    with fh:
         header = fh.readline().strip().split(",")
         if header != list(RESULT_COLUMNS):
             raise ConfigError(f"unexpected results header in {path!r}: {header}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            vals = line.strip().split(",")
-            row = dict(zip(RESULT_COLUMNS, vals))
-            for key in ("p1", "p2", "p3", "t1", "t2", "tf", "regret"):
-                row[key] = float(row[key])
-            row["batch_id"] = int(row["batch_id"])
-            row["seed"] = int(row["seed"])
-            row["feasible"] = bool(int(row["feasible"]))
-            row["reopt_count"] = int(row["reopt_count"])
-            rows.append(row)
+            try:
+                rows.append(_parse_result_row(line.strip().split(",")))
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: malformed results row "
+                                  f"{line.rstrip()!r}: {exc}") from exc
     return rows
+
+
+def _parse_result_row(vals: list[str]) -> dict:
+    """One results row with typed values; ValueError if it is malformed."""
+    if len(vals) != len(RESULT_COLUMNS):
+        raise ValueError(f"{len(vals)} fields, expected {len(RESULT_COLUMNS)}")
+    row = dict(zip(RESULT_COLUMNS, vals))
+    for key in ("p1", "p2", "p3", "t1", "t2", "tf", "regret"):
+        row[key] = float(row[key])
+    row["batch_id"] = int(row["batch_id"])
+    row["seed"] = int(row["seed"])
+    row["feasible"] = bool(int(row["feasible"]))
+    row["reopt_count"] = int(row["reopt_count"])
+    return row
 
 
 def results_to_rows(results: list[BatchResult]) -> list[dict]:

@@ -362,7 +362,8 @@ def _integrate_const(state0: PlantState, u: float, p: PlantParams,
         if t_stop <= t0 + 1e-15:
             return Trajectory(np.array([t0]), np.array([state0.c1]),
                               np.array([state0.c2]), np.array([u]), np.array([q0]))
-        y_hi = 0.0 if arc.frozen else float(arc.y_bound(t_stop))
+        # states brackets with the stall asymptote 1/r where r > 0
+        y_hi = 0.0 if arc.frozen or arc.r > 0.0 else float(arc.y_bound(t_stop))
         if not y_hi < math.inf:
             raise SimulationTimeout(
                 f"c1 grows without bound before t={t_stop} h on this arc")
@@ -373,6 +374,7 @@ def _integrate_const(state0: PlantState, u: float, p: PlantParams,
                 f"stop condition {stop.kind!r} not reached by t_max={spec.t_max} h")
         y_hi = x_ev - arc.x0
 
+    event = stop.kind != "time"
     if record:
         dt = spec.dt_h
         n = int(math.floor((t_stop - t0) / dt + 1e-9))
@@ -381,12 +383,19 @@ def _integrate_const(state0: PlantState, u: float, p: PlantParams,
             ts = np.append(ts, t_stop)
         else:
             ts[-1] = t_stop
+        x, v = arc.states(ts, y_hi)
+        if event:
+            x[-1], v[-1] = x_ev, v_ev
     else:
-        ts = np.array([t0, t_stop]) if t_stop > t0 else np.array([t0])
-    x, v = arc.states(ts, y_hi)
-    event = stop.kind != "time"
-    if event:
-        x[-1], v[-1] = x_ev, v_ev
+        # The start and the stop only.  The start state is exact: in a
+        # states() call it sits at Y = 0 and converges on the first Halley
+        # pass, so solving for the stop alone gives the same bits.
+        if not event:
+            x_ev, v_ev = (float(a[0]) for a in arc.states(np.array([t_stop]), y_hi))
+        moved = t_stop > t0
+        ts = np.array([t0, t_stop] if moved else [t0])
+        x = np.array([arc.x0, x_ev] if moved else [x_ev])
+        v = np.array([arc.v0, v_ev] if moved else [v_ev])
     # relative to the start, so that a state that does not move stays exact
     c1s = state0.c1 * np.exp(x - arc.x0)
     c2s = state0.c2 * np.exp(v - arc.v0)

@@ -26,6 +26,7 @@ see `_WarmBoundLP.strip_is_inert`), and most samples of a batch stop there.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from typing import NoReturn
@@ -53,12 +54,28 @@ class ParamBox:
     def __post_init__(self):
         if len(self.lo) != 3 or len(self.hi) != 3:
             raise ConfigError("ParamBox needs 3-vectors")
+        if not all(math.isfinite(x) for x in (*self.lo, *self.hi)):
+            raise ConfigError(f"box bounds must be finite: {self.lo} vs {self.hi}")
         if any(l > h for l, h in zip(self.lo, self.hi)):
             raise ConfigError(f"box bounds crossed: {self.lo} vs {self.hi}")
 
     @classmethod
     def from_arrays(cls, lo, hi) -> "ParamBox":
         return cls(tuple(float(x) for x in lo), tuple(float(x) for x in hi))
+
+    @classmethod
+    def from_json(cls, path: str) -> "ParamBox":
+        """The box of a JSON file {"lo": [3 numbers], "hi": [3 numbers]}."""
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read parameter box {path!r}: {exc}") from exc
+        try:
+            return cls.from_arrays(raw["lo"], raw["hi"])
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+            raise ConfigError(f"parameter box {path!r} needs 'lo' and 'hi' lists of "
+                              f"three finite numbers ({exc})") from exc
 
     @classmethod
     def from_gamma_box(cls, gamma_lo, gamma_hi, area: float = 1.0,
@@ -694,7 +711,11 @@ def read_measurements_csv(path: str) -> list[Measurement]:
     Blank lines are skipped; a row that is not four finite numbers raises
     ConfigError naming its line.
     """
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read measurements {path!r}: {exc}") from exc
+    with fh:
         header = fh.readline().strip().split(",")
         if header != ["t", "q_m", "c1", "c2"]:
             raise ConfigError(f"expected header t,q_m,c1,c2 in {path!r}, got {header}")

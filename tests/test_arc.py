@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from dfrto import arc as arc_mod
 from dfrto.arc import Arc, _ArcIntegral
 from dfrto.process import TOL_EVENT, PlantParams, PlantState
 from dfrto.strategies import NoiseStream, adaptive_strategy
@@ -167,3 +170,49 @@ def test_adaptive_event_time_matches_rk4(spec, case2):
     t_rk4 = rk4_event_time(start, u_last, p_true, spec,
                            lambda a, b: a / b - spec.ratio_f, h=1e-4)
     assert abs(res.tf - t_rk4) <= TOL_EVENT
+
+
+# r = 0, |1/r| beyond 500 (the asymptotic series, down to |r| ~ 1e-308), |1/r|
+# below 500 (Ei itself), each sign
+_R = st.one_of(st.just(0.0), st.floats(-2e-3, 2e-3, allow_subnormal=False),
+               st.floats(-5.0, 5.0))
+# where on [0, y_hi] the points sit: the start, inside, next to the bracket end
+_W = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True), st.just(1.0 - 1e-12))
+
+
+def _bits(a) -> bytes:
+    """The bytes of a float array, with every NaN made the same NaN (how a NaN
+    came about sets its sign bit, which no comparison or branch reads)."""
+    a = np.array(a, dtype=float)
+    a[np.isnan(a)] = np.nan
+    return a.tobytes()
+
+
+@given(r=_R, ws=st.lists(_W, min_size=1, max_size=2))
+@example(r=0.4, ws=[0.0, 1.0 - 1e-12])       # the u = 0 concentrate arc
+@example(r=-0.3, ws=[0.7, 1.0 - 1e-12])
+@example(r=1e-5, ws=[0.5])
+@example(r=-1e-4, ws=[0.0, 0.25])
+def test_float_kernel_is_bitwise_the_array_kernel(r, ws):
+    """F and its inverse on one or two points take the Python-float kernel;
+    the array form must give the same bits for the same call."""
+    F = _ArcIntegral(r)
+    assert len(ws) <= arc_mod._FLOAT_POINTS
+    w = np.array(ws)
+    with np.errstate(all="ignore"):
+        if r > 0.0:
+            # the flux stalls at Y = 1/r, which brackets states()
+            y_hi = 1.0 / r
+            tau = F._array(w * y_hi)
+        else:
+            # the y_bound bracket: F(inf) - F(Y) <= e^(-Y)
+            lim = float(F.limit())
+            tau = w * lim
+            y_hi = float(-np.log(lim - tau.max()))
+        for Y in (w * y_hi, np.asarray(w[0] * y_hi)):
+            assert _bits(F(Y)) == _bits(F._array(Y))
+        for t in (tau, np.asarray(tau[0])):
+            lo = np.zeros(t.shape)
+            got = F.inverse(t, y_hi)
+            assert got.shape == t.shape
+            assert _bits(got) == _bits(F._inverse_array(t, lo, lo + y_hi))

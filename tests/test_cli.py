@@ -1,12 +1,15 @@
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from dfrto.cli import main
+from dfrto.errors import ConfigError
 from dfrto.harness import read_results_csv
 from dfrto.process import PlantParams, ProcessSpec, flux
+from dfrto.setmem import ParamBox
 
 
 def run(args):
@@ -171,3 +174,51 @@ def test_timeout_exit_code(tmp_path):
     rc = run(["simulate", "--case", "limiting_flux", "--strategy", "nominal",
               "--seed", "1", "--config", str(cfg)])
     assert rc == 4
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read parameter box"),
+    ("{\"lo\": [1, 2, 3], ", "cannot read parameter box"),
+    (json.dumps({"lo": [20.7, 3.0, 0.0]}), "needs 'lo' and 'hi'"),
+    ("{\"lo\": [NaN, 3.0, 0.0], \"hi\": [21.0, 3.0, 0.0]}", "finite"),
+    ("{\"lo\": [20.7, 3.0, 0.0], \"hi\": [Infinity, 3.0, 0.0]}", "finite"),
+], ids=["missing", "invalid_json", "no_hi", "nan", "infinity"])
+def test_reach_bad_box_file_is_config_error(tmp_path, capsys, content, message):
+    box = tmp_path / "box.json"
+    if content is not None:
+        box.write_text(content)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["reach", "--box", str(box)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "box.json" in err
+
+
+def test_param_box_rejects_non_finite_bounds():
+    with pytest.raises(ConfigError, match="finite"):
+        ParamBox((math.nan, 3.0, 0.0), (21.0, 3.0, 0.0))
+    with pytest.raises(ConfigError, match="finite"):
+        ParamBox((20.0, 3.0, 0.0), (21.0, math.inf, 0.0))
+
+
+def test_summarize_missing_input_is_config_error(tmp_path, capsys):
+    assert run(["summarize", "--input", str(tmp_path / "none.csv")]) == 2
+    assert "none.csv" in capsys.readouterr().err
+
+
+def test_summarize_short_row_is_config_error(tmp_path, capsys):
+    out = tmp_path / "mc.csv"
+    assert run(["montecarlo", "--n", "1", "--seed", "4", "--strategies", "optimal",
+                "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(out, "a") as fh:
+        fh.write("1,optimal,7,20.7,3.0\n")
+    assert run(["summarize", "--input", str(out)]) == 2
+    assert "mc.csv:3:" in capsys.readouterr().err
+
+
+def test_estimate_missing_input_is_config_error(tmp_path, capsys):
+    rc = run(["estimate", "--input", str(tmp_path / "none.csv"),
+              "--out", str(tmp_path / "b.csv")])
+    assert rc == 2
+    assert "none.csv" in capsys.readouterr().err

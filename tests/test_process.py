@@ -190,6 +190,34 @@ def test_integrate_matches_ode_oracle(spec, u, kind, record):
     _assert_matches_ode(traj, ref, record)
 
 
+def _ends(traj):
+    """The start and stop rows of a trajectory, as raw bytes."""
+    return [a[[0, -1]].tobytes() for a in (traj.t, traj.c1, traj.c2, traj.u, traj.q)]
+
+
+@pytest.mark.parametrize("u", sorted(STOPS))
+@pytest.mark.parametrize("kind", ["ratio", "c1_target", "switch", "holds_at_start"])
+def test_event_stop_ends_bitwise_equal_with_and_without_record(spec, u, kind):
+    # record=False takes the exact start and event states without a states()
+    # solve; the recorded grid must end on the very same bits
+    value = {"ratio": 4.0, "c1_target": 200.0, "switch": math.nan, "holds_at_start": 40.0}
+    stop = (StopCondition.c1_reached(value[kind]) if kind == "holds_at_start"
+            else CONDITIONS[kind](value[kind]))
+    if u == 1.0 and kind != "ratio":      # c1 is frozen: never reached either way
+        for record in (True, False):
+            with pytest.raises(SimulationTimeout):
+                integrate(START, u, P_GEN, stop, spec, record=record)
+        return
+    full = integrate(START, u, P_GEN, stop, spec, record=True)
+    short = integrate(START, u, P_GEN, stop, spec, record=False)
+    assert short.event_time == full.event_time
+    if kind == "holds_at_start":
+        assert short.t.tolist() == [START.t] and full.t.size == 1
+    else:
+        assert short.t.size == 2 and full.t.size > 2
+    assert _ends(short) == _ends(full)
+
+
 @pytest.mark.parametrize("kind", ["c1_target", "switch"])
 def test_frozen_arc_never_meets_c1_stops(spec, kind):
     with pytest.raises(SimulationTimeout):
