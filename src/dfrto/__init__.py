@@ -7,13 +7,13 @@ and nominal/robust/adaptive closed-loop strategies with a Monte Carlo harness.
 
 from .process import (GAMMA1_UNIT_SCALE, Measurement, PlantParams, PlantState,
                       ProcessSpec, StopCondition, Trajectory, dilute, flux,
-                      integrate, measure, rhs)
-from .policy import (DILUTE, PolicyParams, compute_switch_times,
-                     singular_control, switching_function)
+                      integrate)
+from .policy import (PolicyParams, compute_switch_times, singular_control,
+                     switching_function)
 
 __all__ = [
     "GAMMA1_UNIT_SCALE", "Measurement", "PlantParams", "PlantState",
     "ProcessSpec", "StopCondition", "Trajectory", "dilute", "flux",
-    "integrate", "measure", "rhs", "DILUTE", "PolicyParams",
-    "compute_switch_times", "singular_control", "switching_function",
+    "integrate", "PolicyParams", "compute_switch_times", "singular_control",
+    "switching_function",
 ]

@@ -9,16 +9,18 @@ gamma-space box; gamma3 is certain (zero) in the limiting-flux case.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .process import GAMMA1_UNIT_SCALE, PlantParams, ProcessSpec
-from .setmem import ParamBox
+from .setmem import ParamBox, scenario_points
 
 UNCERTAINTY_PCT_DEFAULT = 0.10
+# interior Latin-hypercube points of the robust scenario set, and their seed
+_N_LHS = 16
+_LHS_SEED = 2718
 
 
 @dataclass(frozen=True)
@@ -28,53 +30,38 @@ class CaseStudy:
     gamma2: float
     gamma3: float
 
-    def nominal_params(self, spec: ProcessSpec,
-                       unit_scale: float = GAMMA1_UNIT_SCALE) -> PlantParams:
-        return PlantParams.from_gamma(self.gamma1, self.gamma2, self.gamma3,
-                                      area=spec.A, unit_scale=unit_scale)
+    def nominal_params(self, spec: ProcessSpec) -> PlantParams:
+        return PlantParams.from_gamma(self.gamma1, self.gamma2, self.gamma3, area=spec.A)
 
-    def prior_box(self, spec: ProcessSpec, pct: float = UNCERTAINTY_PCT_DEFAULT,
-                  unit_scale: float = GAMMA1_UNIT_SCALE) -> ParamBox:
+    def prior_box(self, spec: ProcessSpec,
+                  pct: float = UNCERTAINTY_PCT_DEFAULT) -> ParamBox:
         if not 0.0 < pct < 1.0:
             raise ConfigError(f"uncertainty fraction must be in (0,1): {pct}")
         lo = (self.gamma1 * (1 - pct), self.gamma2 * (1 - pct), self.gamma3 * (1 - pct))
         hi = (self.gamma1 * (1 + pct), self.gamma2 * (1 + pct), self.gamma3 * (1 + pct))
-        return ParamBox.from_gamma_box(lo, hi, area=spec.A, unit_scale=unit_scale)
+        return ParamBox.from_gamma_box(lo, hi, area=spec.A)
 
     def draw_truth_gamma(self, rng: np.random.Generator,
                          pct: float = UNCERTAINTY_PCT_DEFAULT,
-                         spec: ProcessSpec | None = None,
-                         unit_scale: float = GAMMA1_UNIT_SCALE) -> PlantParams:
+                         spec: ProcessSpec | None = None) -> PlantParams:
         """Uniform componentwise draw of (gamma1, gamma2, gamma3) in the +-pct
         box, mapped to p-space; always inside the enclosing prior box."""
         area = spec.A if spec is not None else 1.0
         g = np.array([self.gamma1, self.gamma2, self.gamma3])
         draw = rng.uniform(g * (1 - pct), g * (1 + pct))
-        return PlantParams.from_gamma(draw[0], draw[1], draw[2],
-                                      area=area, unit_scale=unit_scale)
+        return PlantParams.from_gamma(draw[0], draw[1], draw[2], area=area)
 
     def gamma_scenarios(self, spec: ProcessSpec,
-                        pct: float = UNCERTAINTY_PCT_DEFAULT, n_lhs: int = 16,
-                        seed: int = 2718,
-                        unit_scale: float = GAMMA1_UNIT_SCALE) -> np.ndarray:
+                        pct: float = UNCERTAINTY_PCT_DEFAULT) -> np.ndarray:
         """Worst-case scenario sample consistent with the +-pct uncertainty.
 
-        Vertices and interior Latin-hypercube points of the gamma-space box,
-        mapped to p-space, plus the nominal point.  All rows lie inside the
-        enclosing prior box.
+        The vertices, midpoint (the nominal point) and interior Latin-hypercube
+        points of the gamma-space box, mapped to p-space.  All rows lie inside
+        the enclosing prior box.
         """
         g = np.array([self.gamma1, self.gamma2, self.gamma3])
-        lo, hi = g * (1 - pct), g * (1 + pct)
-        pts = [g]
-        for comb in itertools.product(*[(l, h) for l, h in zip(lo, hi)]):
-            pts.append(np.array(comb))
-        if n_lhs > 0:
-            rng = np.random.default_rng(seed)
-            u = (np.argsort(rng.random((3, n_lhs)), axis=1).T
-                 + rng.random((n_lhs, 3))) / n_lhs
-            pts.extend(list(lo + u * (hi - lo)))
-        gam = np.unique(np.asarray(pts), axis=0)
-        k = spec.A * unit_scale * gam[:, 0]
+        gam = scenario_points(g * (1 - pct), g * (1 + pct), _N_LHS, _LHS_SEED)
+        k = spec.A * GAMMA1_UNIT_SCALE * gam[:, 0]
         return np.column_stack([k * np.log(gam[:, 1]), k, k * gam[:, 2]])
 
 

@@ -35,7 +35,3 @@ class ModelInvalidatedError(DfrtoError):
 
 class InfeasibleLPError(DfrtoError):
     """Linear program has an empty feasible region."""
-
-
-class UnboundedLPError(DfrtoError):
-    """Linear program is unbounded (cannot happen with a prior box)."""

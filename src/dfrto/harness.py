@@ -41,17 +41,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_batches < 1:
             raise ConfigError("n_batches must be at least 1")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be nonnegative, got {self.master_seed}")
         if not 0.0 < self.uncertainty_pct < 1.0:
             raise ConfigError("uncertainty_pct must lie in (0, 1)")
+        if not self.strategies:
+            raise ConfigError("no strategies requested")
         bad = set(self.strategies) - set(STRATEGIES)
         if bad:
             raise ConfigError(f"unknown strategies: {sorted(bad)}")
         get_case(self.case)
-
-
-def draw_truth(P0: ParamBox, rng: np.random.Generator) -> PlantParams:
-    """Componentwise uniform draw from the box."""
-    return PlantParams(*rng.uniform(P0.lo_arr(), P0.hi_arr()))
 
 
 def _batch_seed(master_seed: int, i: int) -> int:

@@ -12,7 +12,6 @@ integrator.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,8 +21,6 @@ from .arc import Arc
 from .errors import ConfigError, DegenerateModelError, UnsupportedStructureError
 from .process import PlantParams, PlantState, ProcessSpec, flux
 from .process import integrate  # noqa: F401  (perfbench/tracing.py wraps policy.integrate)
-
-DILUTE = math.inf  # control value standing for the instantaneous-dilution mode
 
 
 @dataclass(frozen=True)
@@ -38,22 +35,6 @@ class PolicyParams:
     def __post_init__(self):
         if not 0.0 <= self.t1 <= self.t2 <= self.tf:
             raise ConfigError(f"switch times must be ordered: {self.t1}, {self.t2}, {self.tf}")
-
-    def to_json(self, path: str | None = None) -> str:
-        payload = {"p1": self.p.p1, "p2": self.p.p2, "p3": self.p.p3,
-                   "t1": self.t1, "t2": self.t2, "tf": self.tf}
-        text = json.dumps(payload, indent=2) + "\n"
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
-
-    @classmethod
-    def from_json(cls, path: str) -> "PolicyParams":
-        with open(path) as fh:
-            raw = json.load(fh)
-        return cls(PlantParams(raw["p1"], raw["p2"], raw["p3"]),
-                   raw["t1"], raw["t2"], raw["tf"])
 
 
 def switching_function(state: PlantState, p: PlantParams) -> float:
@@ -73,8 +54,9 @@ def singular_control(p: PlantParams) -> float:
 def plan_vectorized(P: np.ndarray, spec: ProcessSpec) -> dict[str, np.ndarray]:
     """Switching times and singular controls for each parameter row of P (n,3).
 
-    Returns arrays t1, t2, tf, us, c1_switch, c1_end.  Requires every row to
-    start above the singular surface (checked by the caller).
+    Returns arrays t1, t2, tf, us, c1_switch, c1_end.  Raises
+    UnsupportedStructureError, naming the first such row, when a row does not
+    start above the singular surface.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     p1, p2, p3 = P[:, 0], P[:, 1], P[:, 2]
@@ -84,8 +66,11 @@ def plan_vectorized(P: np.ndarray, spec: ProcessSpec) -> dict[str, np.ndarray]:
     alpha = p1 - p3 * ln_c20            # arc-1 flux intercept (c2 frozen)
     w0 = alpha / p2 - ln_c10            # q(x0)/p2
     ws = (p2 + p3) / p2                 # q/p2 on the singular surface
-    if np.any(w0 <= ws):
-        raise UnsupportedStructureError("initial state not above the singular surface")
+    below = w0 <= ws
+    if np.any(below):
+        raise UnsupportedStructureError(
+            f"initial state not above the singular surface for "
+            f"p={P[int(np.argmax(below))].tolist()}")
     c1_sw = np.exp(alpha / p2 - ws)
     t1 = Arc(0.0, ln_c10, ln_c20, 0.0, p1, p2, p3, m).time_to(alpha / p2 - ws)
 

@@ -1,21 +1,21 @@
-"""Batch diafiltration plant: flux law, dynamics, dilution jumps, noisy flux sensor.
+"""Batch diafiltration plant: flux law, dynamics, dilution jumps, flux samples.
 
 States are the macro-solute concentration c1 and micro-solute concentration c2
 (both g/L); the tank volume is not a state because macro-solute mass is
 conserved, V(t) = c1_0*V0/c1(t).  All times are hours internally; the sampling
 period is configured in seconds.
 
-`integrate` runs the plant along constant-control arcs in closed form
-(dfrto.arc): states on the sampling grid and every stop event (a time, the
-switching surface, the terminal ratio, a c1 target) come from explicit
-expressions, with no step size or event tolerance.  The test suite keeps an
-independent ODE integrator as the cross-check.
+`integrate` runs the plant along a constant-control arc in closed form
+(dfrto.arc): states on the sampling grid and the stop (a time or the terminal
+ratio) come from explicit expressions, with no step size or event tolerance.
+The test suite keeps an independent ODE integrator as the cross-check.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
@@ -27,8 +27,7 @@ from .errors import ConfigError, DomainError, SimulationTimeout, StallError
 # Flux prefactor calibration: the reported mass-transfer coefficient with A in
 # m^2 yields A*gamma1 = 0.03 L/h, which puts batch times at hundreds of hours.
 # The working interpretation is A*gamma1 = 3 L/h (gamma1 in dm/h with A in
-# dm^2); the scale stays configurable so the literal unit reading remains
-# selectable.
+# dm^2).
 GAMMA1_UNIT_SCALE = 100.0
 
 # Resolution of the switching-time windows (reach) and of event-time checks;
@@ -56,21 +55,14 @@ class PlantParams:
 
     @classmethod
     def from_gamma(cls, gamma1: float, gamma2: float, gamma3: float,
-                   area: float = 1.0,
-                   unit_scale: float = GAMMA1_UNIT_SCALE) -> "PlantParams":
+                   area: float = 1.0) -> "PlantParams":
         """Map phenomenological parameters (gamma1, gamma2, gamma3) to p-space."""
         if gamma2 <= 1.0:
             raise DomainError("gamma2 must exceed 1 g/L for a positive p1")
         if gamma3 < 0.0:
             raise DomainError("gamma3 must be nonnegative")
-        k = area * gamma1 * unit_scale
+        k = area * gamma1 * GAMMA1_UNIT_SCALE
         return cls(p1=k * math.log(gamma2), p2=k, p3=k * gamma3)
-
-    def to_gamma(self, area: float = 1.0,
-                 unit_scale: float = GAMMA1_UNIT_SCALE) -> tuple[float, float, float]:
-        """Inverse of :meth:`from_gamma`; exact round-trip."""
-        k = self.p2
-        return k / (area * unit_scale), math.exp(self.p1 / self.p2), self.p3 / self.p2
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p1, self.p2, self.p3], dtype=float)
@@ -107,6 +99,11 @@ class ProcessSpec:
     t_max: float = 100.0        # simulation cap [h]
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         if not (self.c1_f > self.c1_0 > 0.0):
             raise ConfigError("require c1_f > c1_0 > 0")
         if not (0.0 < self.c2_f < self.c2_0):
@@ -138,26 +135,24 @@ class ProcessSpec:
     def initial_state(self) -> PlantState:
         return PlantState(0.0, self.c1_0, self.c2_0)
 
-    def volume(self, c1) -> float | np.ndarray:
-        return self.mass / np.asarray(c1, dtype=float) if np.ndim(c1) else self.mass / c1
-
     @classmethod
     def from_json(cls, path: str) -> "ProcessSpec":
+        """The spec of a JSON object of field values; ConfigError names the
+        file when it cannot be read or holds no valid spec."""
         try:
             with open(path) as fh:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read process spec {path!r}: {exc}") from exc
-        known = {f.name for f in fields(cls)}
-        bad = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ConfigError(f"process spec {path!r} must be a JSON object")
+        bad = set(raw) - {f.name for f in fields(cls)}
         if bad:
-            raise ConfigError(f"unknown process spec keys: {sorted(bad)}")
-        return cls(**raw)
-
-    def to_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump({f.name: getattr(self, f.name) for f in fields(self)}, fh, indent=2)
-            fh.write("\n")
+            raise ConfigError(f"unknown process spec keys in {path!r}: {sorted(bad)}")
+        try:
+            return cls(**raw)
+        except ConfigError as exc:
+            raise ConfigError(f"process spec {path!r}: {exc}") from exc
 
 
 class Measurement(NamedTuple):
@@ -179,17 +174,6 @@ def flux(c1, c2, p: PlantParams):
     return float(q) if np.ndim(q) == 0 else q
 
 
-def rhs(state: PlantState, u: float, p: PlantParams, spec: ProcessSpec) -> tuple[float, float]:
-    """Concentration derivatives (dc1/dt, dc2/dt) [g/L/h] for water-addition ratio u."""
-    if u < 0.0:
-        raise DomainError("control ratio u must be nonnegative")
-    q = flux(state.c1, state.c2, p)
-    m = spec.mass
-    dc1 = state.c1 ** 2 * q * (1.0 - u) / m
-    dc2 = -state.c1 * state.c2 * q * u / m
-    return dc1, dc2
-
-
 def dilute(state: PlantState, c1_target: float) -> PlantState:
     """Instantaneous water addition to reach c1_target; c1/c2 is preserved."""
     if not 0.0 < c1_target <= state.c1:
@@ -199,51 +183,31 @@ def dilute(state: PlantState, c1_target: float) -> PlantState:
     return PlantState(state.t, c1_target, state.c2 * factor)
 
 
-def measure(state: PlantState, p_true: PlantParams, sigma: float,
-            rng: np.random.Generator) -> Measurement:
-    """Noisy flux sample with uniform noise in [-sigma, sigma]; exact c1, c2."""
-    if sigma < 0.0:
-        raise DomainError("sigma must be nonnegative")
-    eta = rng.uniform(-sigma, sigma) if sigma > 0.0 else 0.0
-    return Measurement(state.t, flux(state.c1, state.c2, p_true) + eta, state.c1, state.c2)
-
-
 # --- stop conditions & integration ------------------------------------------
-
-_STOP_KINDS = ("time", "switch", "ratio", "c1_target")
-
 
 @dataclass(frozen=True)
 class StopCondition:
-    """Arc termination criterion for :func:`integrate`."""
+    """Arc termination criterion for :func:`integrate`: a time, or the ratio
+    c1/c2 reaching a value."""
 
     kind: str
     value: float = math.nan
-    switch_params: PlantParams | None = None  # S uses these params (default: plant's)
 
     def __post_init__(self):
-        if self.kind not in _STOP_KINDS:
+        if self.kind not in ("time", "ratio"):
             raise ConfigError(f"unknown stop kind {self.kind!r}")
         if self.kind == "time" and not math.isfinite(self.value):
             raise ConfigError(f"stop time must be finite, got {self.value}")
-        if self.kind in ("ratio", "c1_target") and not self.value > 0.0:
-            raise ConfigError(f"{self.kind} stop needs a positive value, got {self.value}")
+        if self.kind == "ratio" and not self.value > 0.0:
+            raise ConfigError(f"ratio stop needs a positive value, got {self.value}")
 
     @classmethod
     def at_time(cls, t: float) -> "StopCondition":
         return cls("time", t)
 
     @classmethod
-    def switch_crossing(cls, params: PlantParams | None = None) -> "StopCondition":
-        return cls("switch", switch_params=params)
-
-    @classmethod
     def ratio_reached(cls, ratio: float) -> "StopCondition":
         return cls("ratio", ratio)
-
-    @classmethod
-    def c1_reached(cls, c1_target: float) -> "StopCondition":
-        return cls("c1_target", c1_target)
 
 
 @dataclass
@@ -282,66 +246,21 @@ class Trajectory:
                          f"{V[i]:.10g},{self.u[i]:.10g},{self.q[i]:.10g}\n")
 
 
-def integrate(state0: PlantState, u, p: PlantParams, stop: StopCondition,
+def integrate(state0: PlantState, u: float, p: PlantParams, stop: StopCondition,
               spec: ProcessSpec, *, record: bool = True) -> Trajectory:
-    """Run the plant under a constant or piecewise control until `stop`.
+    """Run the plant under a constant control u in [0, 1] until `stop`.
 
-    `u` is a float in [0, 1] (constant arc) or a sequence of (t_until, u)
-    segments; the stop condition applies on the final segment.  Every arc is
-    propagated in closed form (dfrto.arc).  The returned trajectory holds the
-    start and the stop point, or (when `record`) the dt_sample grid from the
-    start plus the exact stop point.  An event stop that already holds at the
-    start of its arc stops there.
+    The arc is propagated in closed form (dfrto.arc).  The returned trajectory
+    holds the start and the stop point, or (when `record`) the dt_sample grid
+    from the start plus the exact stop point.  A ratio stop that already holds
+    at the start stops there.
 
     Raises SimulationTimeout if the stop lies beyond t_max or is never reached
-    (a c1_target or switch stop at u = 1, an event behind the flux stall, a
-    time after c1 has grown without bound) and StallError if the flux is not
-    positive at the start of a concentrating arc (u < 1).
+    (a ratio behind the flux stall, a time after c1 has grown without bound)
+    and StallError if the flux is not positive at the start of a concentrating
+    arc (u < 1).
     """
-    if isinstance(u, (int, float)):
-        segments = [(math.inf, float(u))]
-    else:
-        segments = [(float(te), float(uv)) for te, uv in u]
-        if not segments:
-            raise ConfigError("empty control profile")
-    parts: list[Trajectory] = []
-    state = state0
-    for i, (t_until, u_val) in enumerate(segments):
-        last = i == len(segments) - 1
-        seg_stop = stop if last else StopCondition.at_time(min(t_until, spec.t_max))
-        parts.append(_integrate_const(state, u_val, p, seg_stop, spec, record=record))
-        state = parts[-1].final_state()
-    return Trajectory.concat(parts) if len(parts) > 1 else parts[0]
-
-
-def _stop_event(arc: Arc, stop: StopCondition, p: PlantParams) -> tuple[float, float, float]:
-    """(t, x, v) where the arc meets an event stop; t = +inf when it never does."""
-    never = (math.inf, math.nan, math.nan)
-    if stop.kind == "ratio":
-        t, x, v = arc.ratio_event(math.log(stop.value))
-        return float(t), float(x), float(v)
-    if arc.frozen:      # c1 stays put and the switching function only rises
-        return never
-    if stop.kind == "c1_target":
-        y = max(math.log(stop.value) - arc.x0, 0.0)
-    else:
-        # S = ps.p1 - ps.p2*x - ps.p3*v - ps.p2 - ps.p3 falls by `slope` per unit Y
-        ps = stop.switch_params if stop.switch_params is not None else p
-        s0 = ps.p1 - ps.p2 * arc.x0 - ps.p3 * arc.v0 - ps.p2 - ps.p3
-        slope = ps.p2 - ps.p3 * arc.k
-        if s0 <= 0.0:
-            y = 0.0
-        elif slope > 0.0:
-            y = s0 / slope
-        else:
-            return never
-    t, x, v = arc.at_y(y)
-    return float(t), float(x), float(v)
-
-
-def _integrate_const(state0: PlantState, u: float, p: PlantParams,
-                     stop: StopCondition, spec: ProcessSpec, *,
-                     record: bool = True) -> Trajectory:
+    u = float(u)
     if not 0.0 <= u <= 1.0:
         raise DomainError(f"control ratio u must lie in [0, 1], got {u}")
     t0 = state0.t
@@ -368,7 +287,7 @@ def _integrate_const(state0: PlantState, u: float, p: PlantParams,
             raise SimulationTimeout(
                 f"c1 grows without bound before t={t_stop} h on this arc")
     else:
-        t_stop, x_ev, v_ev = _stop_event(arc, stop, p)
+        t_stop, x_ev, v_ev = (float(a) for a in arc.ratio_event(math.log(stop.value)))
         if not t_stop <= spec.t_max:
             raise SimulationTimeout(
                 f"stop condition {stop.kind!r} not reached by t_max={spec.t_max} h")

@@ -1,27 +1,27 @@
 """Projection of a parameter box into switching-time windows and the control band.
 
 The singular-control band follows exactly from monotonicity of p2/(p2+p3).
-Switching-time windows are sampled (box vertices + midpoint + Latin-hypercube
-interior points, each evaluated with the closed-form planner) and outward
-rounded by the event tolerance plus a guard fraction of the hull width; the
-guarantee is validated by containment tests rather than proven.
+Switching-time windows are sampled (the box vertices, midpoint and
+Latin-hypercube interior points of setmem.scenario_points, each evaluated with
+the closed-form planner) and outward rounded by the event tolerance plus a
+guard fraction of the hull width; the guarantee is validated by containment
+tests rather than proven.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateModelError, UnsupportedStructureError
+from .errors import ConfigError, DegenerateModelError
 from .policy import plan_vectorized
 from .process import TOL_EVENT, ProcessSpec
-from .setmem import ParamBox
+from .setmem import ParamBox, scenario_points
 
 GUARD_FRACTION = 0.05
-N_SAMPLES_DEFAULT = 64
+N_LHS = 64
 _LHS_SEED = 1729  # fixed so projections are reproducible
 
 
@@ -51,13 +51,6 @@ class SwitchWindows:
                 fh.write(text)
         return text
 
-    @classmethod
-    def from_json(cls, path: str) -> "SwitchWindows":
-        with open(path) as fh:
-            raw = json.load(fh)
-        return cls(tuple(raw["t1"]), tuple(raw["t2"]), tuple(raw["tf"]),
-                   tuple(raw["us"]))
-
 
 def project_u_band(P: ParamBox) -> tuple[float, float]:
     """Exact singular-control interval over the box by monotonicity."""
@@ -69,44 +62,22 @@ def project_u_band(P: ParamBox) -> tuple[float, float]:
     return (lo[1] / (lo[1] + hi[2]), hi[1] / (hi[1] + lo[2]))
 
 
-def _scenario_matrix(P: ParamBox, n_samp: int, seed: int) -> np.ndarray:
-    parts = [P.vertices(), P.mid().as_array()[None, :]]
-    if n_samp > 0:
-        parts.append(P.sample_lhs(n_samp, seed=seed))
-    return np.vstack(parts)
-
-
-def project_switch_windows(P: ParamBox, spec: ProcessSpec, *,
-                           n_samp: int = N_SAMPLES_DEFAULT,
-                           guard: float = GUARD_FRACTION) -> SwitchWindows:
+def project_switch_windows(P: ParamBox, spec: ProcessSpec) -> SwitchWindows:
     """Windows for t1, t2, tf over the box, plus the exact singular band.
 
     Every sampled scenario uses its own optimal policy, so the windows bound
-    the optimal switching times as functions of the parameters.  Scenarios
-    starting below the singular surface raise UnsupportedStructureError with
-    the offending parameter vector attached.
+    the optimal switching times as functions of the parameters.  A scenario
+    starting below the singular surface makes plan_vectorized raise
+    UnsupportedStructureError naming its parameter vector.
     """
-    scen = _scenario_matrix(P, n_samp, _LHS_SEED)
-    s0 = (scen[:, 0] - scen[:, 1] * math.log(spec.c1_0)
-          - scen[:, 2] * math.log(spec.c2_0) - scen[:, 1] - scen[:, 2])
-    if np.any(s0 <= 0.0):
-        bad = scen[int(np.argmin(s0))]
-        raise UnsupportedStructureError(
-            f"initial switching function not positive for p={bad.tolist()}")
-    plan = plan_vectorized(scen, spec)
+    plan = plan_vectorized(scenario_points(P.lo_arr(), P.hi_arr(), N_LHS, _LHS_SEED), spec)
 
     def hull(values: np.ndarray) -> tuple[float, float]:
         lo, hi = float(values.min()), float(values.max())
-        pad = (guard * (hi - lo) + TOL_EVENT) / 2.0
+        pad = (GUARD_FRACTION * (hi - lo) + TOL_EVENT) / 2.0
         return max(lo - pad, 0.0), hi + pad
 
     t1 = hull(plan["t1"])
     t2 = hull(plan["t2"])
     tf = hull(plan["tf"])
     return SwitchWindows(t1, t2, tf, project_u_band(P))
-
-
-def invariant_windows(w: SwitchWindows) -> list[tuple[float, float]]:
-    """Time intervals on which the policy is the same for every box member."""
-    candidates = [(0.0, w.t1[0]), (w.t1[1], w.t2[0]), (w.t2[1], w.tf[0])]
-    return [(lo, hi) for lo, hi in candidates if lo <= hi]

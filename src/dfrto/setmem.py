@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import (ConfigError, DomainError, InfeasibleLPError,
                      ModelInvalidatedError)
-from .process import Measurement, PlantParams
+from .process import GAMMA1_UNIT_SCALE, Measurement, PlantParams
 
 _LP_TOL = 1e-9
 # a row moves a bound when it excludes a cached optimizer by more than this
@@ -78,22 +78,19 @@ class ParamBox:
                               f"three finite numbers ({exc})") from exc
 
     @classmethod
-    def from_gamma_box(cls, gamma_lo, gamma_hi, area: float = 1.0,
-                       unit_scale: float | None = None) -> "ParamBox":
+    def from_gamma_box(cls, gamma_lo, gamma_hi, area: float = 1.0) -> "ParamBox":
         """Tightest p-space box enclosing the image of a gamma-space box.
 
         p1 = A*g1*ln(g2), p2 = A*g1, p3 = A*g1*g3 are all increasing in each
         gamma (for g2 > 1), so endpoint evaluation is exact.
         """
-        from .process import GAMMA1_UNIT_SCALE
-        scale = GAMMA1_UNIT_SCALE if unit_scale is None else unit_scale
         g1l, g2l, g3l = gamma_lo
         g1u, g2u, g3u = gamma_hi
         if g2l <= 1.0:
             raise DomainError("gamma2 lower bound must exceed 1")
         if g1l <= 0.0 or g3l < 0.0:
             raise DomainError("gamma1 must be positive and gamma3 nonnegative")
-        kl, ku = area * scale * g1l, area * scale * g1u
+        kl, ku = area * GAMMA1_UNIT_SCALE * g1l, area * GAMMA1_UNIT_SCALE * g1u
         return cls((kl * math.log(g2l), kl, kl * g3l),
                    (ku * math.log(g2u), ku, ku * g3u))
 
@@ -118,19 +115,21 @@ class ParamBox:
         return bool(np.all(self.lo_arr() >= other.lo_arr() - tol)
                     and np.all(self.hi_arr() <= other.hi_arr() + tol))
 
-    def vertices(self) -> np.ndarray:
-        """Corner points (deduplicated when a coordinate is degenerate)."""
-        lo, hi = self.lo_arr(), self.hi_arr()
-        pts = np.array([[lo[i] if (k >> i) & 1 == 0 else hi[i] for i in range(3)]
-                        for k in range(8)])
-        return np.unique(pts, axis=0)
 
-    def sample_lhs(self, n: int, seed: int = 0) -> np.ndarray:
-        """Deterministic Latin-hypercube interior sample (n,3)."""
+def scenario_points(lo, hi, n_lhs: int, seed: int = 0) -> np.ndarray:
+    """Scenario rows of the box [lo, hi]: its corners (sorted, deduplicated
+    where a coordinate is degenerate), its midpoint, then n_lhs deterministic
+    Latin-hypercube points, one in each of the n_lhs strata of every
+    coordinate."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    corners = np.unique(np.array(list(itertools.product(*zip(lo, hi)))), axis=0)
+    parts = [corners, 0.5 * (lo + hi)[None, :]]
+    if n_lhs > 0:
         rng = np.random.default_rng(seed)
-        lo, hi = self.lo_arr(), self.hi_arr()
-        u = (np.argsort(rng.random((3, n)), axis=1).T + rng.random((n, 3))) / n
-        return lo + u * (hi - lo)
+        u = (np.argsort(rng.random((lo.size, n_lhs)), axis=1).T
+             + rng.random((n_lhs, lo.size))) / n_lhs
+        parts.append(lo + u * (hi - lo))
+    return np.vstack(parts)
 
 
 # --- dense simplex -------------------------------------------------------------

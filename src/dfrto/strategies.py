@@ -34,8 +34,8 @@ from .errors import ConfigError, SimulationTimeout
 from .policy import plan_vectorized, singular_control
 from .process import (PlantParams, PlantState, ProcessSpec, StopCondition,
                       Trajectory, dilute, flux, integrate)
-from .reach import SwitchWindows, project_switch_windows
-from .setmem import OnlineBoxEstimator, ParamBox
+from .reach import project_switch_windows
+from .setmem import OnlineBoxEstimator, ParamBox, scenario_points
 
 # --- closed-form evaluation of a committed decision -----------------------------
 
@@ -124,8 +124,7 @@ def _dilute_to_target(end: PlantState, spec: ProcessSpec) -> tuple[PlantState, b
 
 
 def _finish_batch(strategy: str, p_true: PlantParams, spec: ProcessSpec,
-                  decision: StrategyDecision, *, record: bool,
-                  reopt_count: int = 0, box_history=None) -> BatchResult:
+                  decision: StrategyDecision, *, record: bool) -> BatchResult:
     """Run the committed decision on the plant with ratio feedback."""
     tf_opt = _plan(p_true, spec)[2]
     try:
@@ -135,8 +134,7 @@ def _finish_batch(strategy: str, p_true: PlantParams, spec: ProcessSpec,
                          StopCondition.ratio_reached(spec.ratio_f), spec, record=record)
     except SimulationTimeout:
         return BatchResult(strategy, p_true, decision.t1_commit, math.nan, math.nan,
-                           feasible=False, regret=math.nan, reopt_count=reopt_count,
-                           timed_out=True, box_history=box_history)
+                           feasible=False, regret=math.nan, timed_out=True)
     end = arc2.final_state()
     post, feasible = _dilute_to_target(end, spec)
     traj = None
@@ -146,8 +144,7 @@ def _finish_batch(strategy: str, p_true: PlantParams, spec: ProcessSpec,
         traj = Trajectory.concat([arc1, arc2, tail])
     tf = end.t
     return BatchResult(strategy, p_true, decision.t1_commit, tf, tf, feasible,
-                       regret=tf - tf_opt, reopt_count=reopt_count,
-                       trajectory=traj, box_history=box_history)
+                       regret=tf - tf_opt, trajectory=traj)
 
 
 def optimal_strategy(p_true: PlantParams, spec: ProcessSpec, *,
@@ -177,19 +174,9 @@ def nominal_strategy(P0: ParamBox, p_true: PlantParams, spec: ProcessSpec, *,
 
 @dataclass(frozen=True)
 class RobustConfig:
-    n_lhs: int = 16
-    lhs_seed: int = 2718
     coarse_grid: int = 33
     u_resolution: float = 1e-4
     max_sweeps: int = 4
-
-
-def box_scenarios(P0: ParamBox, cfg: RobustConfig) -> np.ndarray:
-    """Vertices + midpoint + Latin-hypercube interior points of the box."""
-    parts = [P0.vertices(), P0.mid().as_array()[None, :]]
-    if cfg.n_lhs > 0:
-        parts.append(P0.sample_lhs(cfg.n_lhs, seed=cfg.lhs_seed))
-    return np.vstack(parts)
 
 
 def _golden_min(fun, lo: float, hi: float, res: float, n_coarse: int) -> tuple[float, float]:
@@ -222,20 +209,18 @@ def _golden_min(fun, lo: float, hi: float, res: float, n_coarse: int) -> tuple[f
 
 
 def robust_decision(P0: ParamBox, spec: ProcessSpec,
-                    cfg: RobustConfig = RobustConfig(),
-                    scenarios: np.ndarray | None = None,
-                    windows: SwitchWindows | None = None) -> StrategyDecision:
+                    cfg: RobustConfig = RobustConfig(), *,
+                    scenarios: np.ndarray) -> StrategyDecision:
     """Min-max commitment of (t1, u_s) over a scenario set inside the box.
 
     The objective is the worst squared excess of the realized batch time over
-    each scenario plant's own optimum.  Scenario
-    times are capped at t_max, so stalled corner plants stay in the worst case
-    instead of being dropped.  `scenarios` defaults to vertices + midpoint +
-    Latin-hypercube points of the box itself.
+    each scenario plant's own optimum (the rows of `scenarios`, e.g.
+    CaseStudy.gamma_scenarios), searched within the switch windows of the box.
+    Scenario times are capped at t_max, so stalled corner plants stay in the
+    worst case instead of being dropped.
     """
-    if windows is None:
-        windows = project_switch_windows(P0, spec)
-    scen = box_scenarios(P0, cfg) if scenarios is None else np.atleast_2d(scenarios)
+    windows = project_switch_windows(P0, spec)
+    scen = np.atleast_2d(scenarios)
     nom = nominal_decision(P0, spec)
     ref = np.minimum(plan_vectorized(scen, spec)["tf"], spec.t_max)
 
@@ -279,6 +264,8 @@ def robust_strategy(P0: ParamBox, p_true: PlantParams, spec: ProcessSpec, *,
                     scenarios: np.ndarray | None = None,
                     decision: StrategyDecision | None = None,
                     record: bool = False) -> BatchResult:
+    """Min-max commitment: `decision`, or else the robust decision over
+    `scenarios`."""
     if decision is None:
         decision = robust_decision(P0, spec, cfg, scenarios=scenarios)
     return _finish_batch("robust", p_true, spec, decision, record=record)
@@ -315,19 +302,24 @@ _BLOCK0 = 512
 _BLOCK_MAX = 8192
 
 
+# a re-optimization is informative when the t1 window at least halves, or
+# when the batch time varies by less than one second over the box; phase 1
+# commits after at most _MAX_REOPTS of them
+_SHRINK_RATIO = 0.5
+_EPS = (1.0 / 3600.0) ** 2
+_MAX_REOPTS = 10
+
+
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    shrink_ratio: float = 0.5      # window must at least halve to count as informative
-    max_reopts: int = 10
     record_boxes: bool = False
 
 
 def _cost_variation(box: ParamBox, spec: ProcessSpec) -> float:
     """Worst squared batch-time deviation of box vertices from the mid plant."""
-    mid = box.mid()
-    plan = plan_vectorized(mid.as_array()[None, :], spec)
+    scen = scenario_points(box.lo_arr(), box.hi_arr(), 0)     # the mid plant last
+    plan = plan_vectorized(scen[-1:], spec)
     t1_c, u_c = float(plan["t1"][0]), float(plan["us"][0])
-    scen = np.vstack([box.vertices(), mid.as_array()[None, :]])
     tf = np.minimum(realized_batch_times(scen, t1_c, u_c, spec), spec.t_max)
     dev = tf - tf[-1]
     return float(np.max(dev * dev))
@@ -343,8 +335,7 @@ def _rhs_factory(p: PlantParams, u: float, m: float):
 
 
 def adaptive_strategy(P0: ParamBox, p_true: PlantParams, spec: ProcessSpec,
-                      noise: NoiseStream | np.random.Generator, *,
-                      eps: float = (1.0 / 3600.0) ** 2,
+                      noise: NoiseStream, *,
                       cfg: AdaptiveConfig = AdaptiveConfig(),
                       record: bool = False) -> BatchResult:
     """Set-membership adaptive operation.
@@ -353,16 +344,12 @@ def adaptive_strategy(P0: ParamBox, p_true: PlantParams, spec: ProcessSpec,
     instant one period before the guaranteed lower edge of the t1 window,
     re-estimate the box and re-project the windows.  Commit the mid-box switch
     as soon as a re-optimization either pins the window (width at least halved)
-    or the worst-case cost variation over the box vertices drops below eps;
+    or the worst-case cost variation over the box vertices drops below _EPS;
     an uninformative re-optimization waits for the updated edge and repeats.
     On the singular arc the control is the mid-box singular control, refreshed
     whenever a new measurement actually shrinks the box; dilution triggers on
     the measured concentration ratio.
     """
-    if eps <= 0.0:
-        raise ConfigError("eps must be positive")
-    if isinstance(noise, np.random.Generator):
-        noise = NoiseStream(noise, spec.sigma)
     est = OnlineBoxEstimator(P0, spec.sigma)
     tf_opt = _plan(p_true, spec)[2]
     dt = spec.dt_h
@@ -420,11 +407,11 @@ def adaptive_strategy(P0: ParamBox, p_true: PlantParams, spec: ProcessSpec,
         windows = project_switch_windows(est.box, spec)
         reopts += 1
         new_width = windows.t1[1] - windows.t1[0]
-        if new_width <= cfg.shrink_ratio * old_width:
+        if new_width <= _SHRINK_RATIO * old_width:
             break
-        if _cost_variation(est.box, spec) < eps:
+        if _cost_variation(est.box, spec) < _EPS:
             break
-        if reopts >= cfg.max_reopts:
+        if reopts >= _MAX_REOPTS:
             break
 
     mid_plan = plan_vectorized(est.box.mid().as_array()[None, :], spec)

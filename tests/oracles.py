@@ -2,9 +2,9 @@
 
 Deliberately naive implementations: fixed-step RK4, an event-detecting
 adaptive ODE solve, dense grid feasibility scans, and vertex enumeration.
-They must not share code with the package.  The policy helpers at the end
-are the exception: they replay a committed policy with the package itself and
-exist only for the tests.
+They must not share code with the package.  The helpers at the end are the
+exception: they replay a committed policy with the package itself, or draw
+test truths, and exist only for the tests.
 """
 
 from __future__ import annotations
@@ -17,9 +17,12 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from dfrto.errors import ConfigError
-from dfrto.policy import DILUTE, PolicyParams, singular_control
+from dfrto.policy import PolicyParams, singular_control
 from dfrto.process import (PlantParams, PlantState, ProcessSpec, StopCondition,
                            Trajectory, dilute, flux, integrate)
+from dfrto.setmem import ParamBox
+
+DILUTE = math.inf  # control value standing for the instantaneous-dilution mode
 
 
 def _deriv(c1, c2, V, u, p, mass):
@@ -86,13 +89,12 @@ class OdeArc:
     event_time: float | None
 
 
-def ode_integrate(state0, u, p, spec, stop, value=math.nan, *, switch_params=None,
-                  record=False, rtol=1e-11):
+def ode_integrate(state0, u, p, spec, stop, value=math.nan, *, record=False,
+                  rtol=1e-11):
     """The plant under a constant control u from state0 until a stop, by RK45.
 
-    stop is "time" (at t = value), "c1_target" (c1 rises to value), "ratio"
-    (c1/c2 rises to value) or "switch" (the flux of switch_params, default p,
-    falls to its p2 + p3).  Returns the start and the stop point, or with
+    stop is "time" (at t = value), "ratio" (c1/c2 rises to value) or "switch"
+    (the flux falls to p2 + p3).  Returns the start and the stop point, or with
     `record` the dt_sample grid from the start plus the stop point.  Raises
     AssertionError when the event is not reached by spec.t_max.
     """
@@ -106,17 +108,12 @@ def ode_integrate(state0, u, p, spec, stop, value=math.nan, *, switch_params=Non
         return (y[0] * y[0] * q * (1.0 - u) / m, -y[0] * y[1] * q * u / m)
 
     events = None
-    if stop == "c1_target":
-        def ev(t, y):
-            return y[0] - value
-    elif stop == "ratio":
+    if stop == "ratio":
         def ev(t, y):
             return y[0] / y[1] - value
     elif stop == "switch":
-        ps = switch_params if switch_params is not None else p
-
         def ev(t, y):
-            return ps.p2 + ps.p3 - flux(y[0], y[1], ps)
+            return p.p2 + p.p3 - flux(y[0], y[1], p)
     else:
         ev = None
     if ev is not None:
@@ -224,6 +221,11 @@ def evaluate_policy(t: float, state: PlantState, pi: PolicyParams) -> float:
     if t < pi.t2:
         return singular_control(pi.p)
     return DILUTE
+
+
+def draw_truth(P0: ParamBox, rng: np.random.Generator) -> PlantParams:
+    """Componentwise uniform draw from the box."""
+    return PlantParams(*rng.uniform(P0.lo_arr(), P0.hi_arr()))
 
 
 def scaled(p: PlantParams, alpha: float) -> PlantParams:

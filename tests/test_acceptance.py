@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dfrto.cases import get_case
-from dfrto.harness import ExperimentConfig, draw_truth, monte_carlo, results_to_rows
+from dfrto.harness import ExperimentConfig, monte_carlo, results_to_rows
 from dfrto.policy import compute_switch_times, plan_vectorized, singular_control
 from dfrto.process import (TOL_EVENT, ProcessSpec, StopCondition, integrate)
 from dfrto.reach import project_switch_windows, project_u_band
@@ -20,7 +20,7 @@ from dfrto.setmem import OnlineBoxEstimator, ParamBox
 from dfrto.strategies import (AdaptiveConfig, NoiseStream, adaptive_strategy,
                               nominal_decision, robust_decision)
 from dfrto.cli import main as cli_main
-from oracles import grid_feasible_box, rk4_event_time
+from oracles import draw_truth, grid_feasible_box, rk4_event_time
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = "") -> None:

@@ -167,6 +167,29 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("text", ['{"c1_0": "x"}', '{"sigma": NaN}', "[1, 2]"],
+                         ids=["string", "nan", "not_object"])
+@pytest.mark.parametrize("argv", [["simulate", "--strategy", "adaptive"], ["reach"]],
+                         ids=["simulate", "reach"])
+def test_bad_config_file_exits_2_naming_it(tmp_path, capsys, text, argv):
+    bad = tmp_path / "spec.json"
+    bad.write_text(text)
+    assert run(argv + ["--config", str(bad)]) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["montecarlo", "--n", "1"]],
+                         ids=["simulate", "montecarlo"])
+def test_negative_seed_is_config_error(capsys, argv):
+    assert run(argv + ["--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_empty_strategies_is_config_error(capsys):
+    assert run(["montecarlo", "--n", "1", "--strategies", ""]) == 2
+    assert "no strategies" in capsys.readouterr().err
+
+
 def test_timeout_exit_code(tmp_path):
     cfg = tmp_path / "spec.json"
     cfg.write_text(json.dumps({"t_max": 3.0}))

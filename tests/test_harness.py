@@ -6,9 +6,10 @@ from scipy import stats as sps
 
 from dfrto import harness
 from dfrto.errors import ConfigError, StallError
-from dfrto.harness import (ExperimentConfig, draw_truth, monte_carlo,
-                           read_results_csv, summarize)
+from dfrto.harness import (ExperimentConfig, monte_carlo, read_results_csv,
+                           summarize)
 from dfrto.setmem import ParamBox
+from oracles import draw_truth
 
 
 def test_draw_truth_zero_width_box():
@@ -76,6 +77,13 @@ def test_config_validation():
         ExperimentConfig(strategies=("bogus",))
     with pytest.raises(ConfigError):
         ExperimentConfig(case="nope")
+
+
+def test_config_rejects_negative_seed_and_no_strategies():
+    with pytest.raises(ConfigError, match="master_seed"):
+        ExperimentConfig(master_seed=-1)
+    with pytest.raises(ConfigError, match="no strategies"):
+        ExperimentConfig(strategies=())
 
 
 def test_monte_carlo_near_point_box_ties(spec):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,17 +8,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dfrto.errors import ConfigError, DomainError, SimulationTimeout, StallError
-from dfrto.process import (PlantParams, PlantState, ProcessSpec, StopCondition,
-                           dilute, flux, integrate, measure, rhs)
+from dfrto.process import (GAMMA1_UNIT_SCALE, PlantParams, PlantState, ProcessSpec,
+                           StopCondition, dilute, flux, integrate)
 from dfrto.policy import compute_switch_times, singular_control
-from oracles import ode_integrate, rk4_event_time, rk4_integrate
+from oracles import ode_integrate, rk4_integrate
 
 P1C = PlantParams(20.7233, 3.0, 0.0)
 
 
 def test_params_gamma_roundtrip():
     p = PlantParams.from_gamma(3e-2, 1000.0, 0.1)
-    g1, g2, g3 = p.to_gamma()
+    g1, g2, g3 = p.p2 / GAMMA1_UNIT_SCALE, math.exp(p.p1 / p.p2), p.p3 / p.p2
     assert g1 == pytest.approx(3e-2, rel=1e-14)
     assert g2 == pytest.approx(1000.0, rel=1e-12)
     assert g3 == pytest.approx(0.1, rel=1e-14)
@@ -57,42 +58,11 @@ def test_flux_domain_error():
         flux(5.0, 0.0, P1C)
 
 
-def test_rhs_modes(spec):
-    s = PlantState(0.0, 50.0, 50.0)
-    dc1, dc2 = rhs(s, 1.0, P1C, spec)
-    assert dc1 == 0.0
-    dc1, dc2 = rhs(s, 0.0, P1C, spec)
-    assert dc2 == 0.0
-    assert dc1 == pytest.approx(2500 * 8.9872 / 1000, rel=1e-4)
-    assert dc1 == pytest.approx(22.47, abs=5e-3)
-
-
 def test_integrate_zero_horizon(spec):
     s = PlantState(0.0, 50.0, 50.0)
     traj = integrate(s, 0.0, P1C, StopCondition.at_time(0.0), spec)
     assert traj.t.size == 1
     assert traj.final_state() == s
-
-
-def test_integrate_c1_target_event_vs_oracle(spec):
-    s = PlantState(0.0, 50.0, 50.0)
-    target = 1000.0 / math.e
-    traj = integrate(s, 0.0, P1C, StopCondition.c1_reached(target), spec, record=False)
-    t1 = traj.event_time
-    assert 2.5 <= t1 <= 2.8
-    t1_oracle = rk4_event_time(s, 0.0, P1C, spec, lambda a, b: a - target, h=1e-4)
-    assert abs(t1 - t1_oracle) <= 1e-3
-
-
-def test_switch_crossing_equals_c1_target(spec):
-    # with p3 = 0 the two stop conditions are algebraically the same surface
-    s = PlantState(0.0, 50.0, 50.0)
-    target = math.exp(P1C.p1 / P1C.p2 - 1.0)
-    t_a = integrate(s, 0.0, P1C, StopCondition.c1_reached(target), spec,
-                    record=False).event_time
-    t_b = integrate(s, 0.0, P1C, StopCondition.switch_crossing(), spec,
-                    record=False).event_time
-    assert abs(t_a - t_b) <= 1e-6
 
 
 @pytest.mark.parametrize("u,t_end", [(0.0, 2.0), (0.6, 3.0), (1.0, 4.0)])
@@ -117,22 +87,13 @@ def test_constant_arcs(spec):
     assert np.all(tr0.c2 == s.c2)
 
 
-def test_event_localization_tolerance(spec):
-    s = PlantState(0.0, 50.0, 50.0)
-    traj = integrate(s, 0.0, P1C, StopCondition.switch_crossing(), spec, record=False)
-    end = traj.final_state()
-    s_val = flux(end.c1, end.c2, P1C) - P1C.p2 - P1C.p3
-    dc1, _ = rhs(end, 0.0, P1C, spec)
-    slope = -P1C.p2 / end.c1 * dc1
-    assert abs(s_val) <= 1e-6 * abs(slope)
-
-
 def test_timeout_error():
     spec = ProcessSpec(t_max=1.0)
     s = PlantState(0.0, 50.0, 50.0)
-    # the limiting concentration is approached asymptotically: never reached
+    # c1/c2 = 25 needs c1 = 1250 g/L, beyond the limiting concentration that
+    # c1 only approaches asymptotically: never reached
     with pytest.raises(SimulationTimeout):
-        integrate(s, 0.0, P1C, StopCondition.c1_reached(999.9), spec, record=False)
+        integrate(s, 0.0, P1C, StopCondition.ratio_reached(25.0), spec, record=False)
 
 
 def test_stall_error(spec):
@@ -141,31 +102,17 @@ def test_stall_error(spec):
         integrate(s, 0.0, P1C, StopCondition.at_time(1.0), spec, record=False)
 
 
-def test_piecewise_control(spec):
-    s = PlantState(0.0, 50.0, 50.0)
-    traj = integrate(s, [(1.0, 0.0), (math.inf, 1.0)],
-                     P1C, StopCondition.at_time(2.0), spec, record=False)
-    end = traj.final_state()
-    t_mid, c1m, c2m, _ = rk4_integrate(s, 0.0, P1C, spec, 1.0, h=1e-4)
-    _, c1e, c2e, _ = rk4_integrate(PlantState(t_mid, c1m, c2m), 1.0, P1C, spec, 2.0, h=1e-4)
-    assert end.c1 == pytest.approx(c1e, rel=1e-5)
-    assert end.c2 == pytest.approx(c2e, rel=1e-5)
-
-
 # --- closed-form integrate against the independent ODE oracle -----------------
 
 P_GEN = PlantParams(20.7233, 3.0, 0.3)
 START = PlantState(0.0, 50.0, 50.0)
-# a reachable value of each stop kind for each control; at u = 1 c1 is frozen,
-# so c1_target and switch stops are never reached there
+# a reachable value of each stop kind for each control
 STOPS = {
-    0.0: {"time": 2.0, "c1_target": 200.0, "ratio": 4.0, "switch": math.nan},
-    0.6: {"time": 3.0, "c1_target": 100.0, "ratio": 10.0, "switch": math.nan},
+    0.0: {"time": 2.0, "ratio": 4.0},
+    0.6: {"time": 3.0, "ratio": 10.0},
     1.0: {"time": 4.0, "ratio": 10.0},
 }
-CONDITIONS = {"time": StopCondition.at_time, "c1_target": StopCondition.c1_reached,
-              "ratio": StopCondition.ratio_reached,
-              "switch": lambda _: StopCondition.switch_crossing()}
+CONDITIONS = {"time": StopCondition.at_time, "ratio": StopCondition.ratio_reached}
 
 
 def _assert_matches_ode(traj, ref, record):
@@ -196,18 +143,12 @@ def _ends(traj):
 
 
 @pytest.mark.parametrize("u", sorted(STOPS))
-@pytest.mark.parametrize("kind", ["ratio", "c1_target", "switch", "holds_at_start"])
+@pytest.mark.parametrize("kind", ["ratio", "holds_at_start"])
 def test_event_stop_ends_bitwise_equal_with_and_without_record(spec, u, kind):
     # record=False takes the exact start and event states without a states()
-    # solve; the recorded grid must end on the very same bits
-    value = {"ratio": 4.0, "c1_target": 200.0, "switch": math.nan, "holds_at_start": 40.0}
-    stop = (StopCondition.c1_reached(value[kind]) if kind == "holds_at_start"
-            else CONDITIONS[kind](value[kind]))
-    if u == 1.0 and kind != "ratio":      # c1 is frozen: never reached either way
-        for record in (True, False):
-            with pytest.raises(SimulationTimeout):
-                integrate(START, u, P_GEN, stop, spec, record=record)
-        return
+    # solve; the recorded grid must end on the very same bits.  The start has
+    # c1/c2 = 1, so a ratio stop at 0.5 holds there.
+    stop = StopCondition.ratio_reached({"ratio": 4.0, "holds_at_start": 0.5}[kind])
     full = integrate(START, u, P_GEN, stop, spec, record=True)
     short = integrate(START, u, P_GEN, stop, spec, record=False)
     assert short.event_time == full.event_time
@@ -216,24 +157,6 @@ def test_event_stop_ends_bitwise_equal_with_and_without_record(spec, u, kind):
     else:
         assert short.t.size == 2 and full.t.size > 2
     assert _ends(short) == _ends(full)
-
-
-@pytest.mark.parametrize("kind", ["c1_target", "switch"])
-def test_frozen_arc_never_meets_c1_stops(spec, kind):
-    with pytest.raises(SimulationTimeout):
-        integrate(START, 1.0, P_GEN, CONDITIONS[kind](200.0), spec)
-
-
-@pytest.mark.parametrize("u", [0.0, 0.6])
-def test_switch_params_differ_from_plant(spec, u):
-    ps = PlantParams(21.0, 3.1, 0.2)
-    traj = integrate(START, u, P_GEN, StopCondition.switch_crossing(ps), spec,
-                     record=False)
-    ref = ode_integrate(START, u, P_GEN, spec, "switch", switch_params=ps)
-    _assert_matches_ode(traj, ref, False)
-    end = traj.final_state()
-    assert flux(end.c1, end.c2, ps) == pytest.approx(ps.p2 + ps.p3, rel=1e-12)
-    assert flux(end.c1, end.c2, P_GEN) != pytest.approx(P_GEN.p2 + P_GEN.p3, rel=1e-3)
 
 
 def test_recorded_grid_is_samples_plus_event(spec):
@@ -249,25 +172,6 @@ def test_recorded_grid_is_samples_plus_event(spec):
     assert short.final_state() == traj.final_state()
 
 
-def test_piecewise_profile_with_event_vs_ode(spec):
-    profile = [(1.0, 0.0), (2.0, 0.6), (math.inf, 0.9)]
-    traj = integrate(START, profile, P_GEN, StopCondition.ratio_reached(100.0), spec)
-    state = START
-    for (t_until, u), last in zip(profile, (False, False, True)):
-        ref = (ode_integrate(state, u, P_GEN, spec, "ratio", 100.0) if last
-               else ode_integrate(state, u, P_GEN, spec, "time", t_until))
-        state = PlantState(ref.t[-1], ref.c1[-1], ref.c2[-1])
-    assert traj.event_time == pytest.approx(ref.event_time, abs=1e-8)
-    assert traj.final_state().c1 == pytest.approx(state.c1, rel=1e-8)
-    assert traj.final_state().c2 == pytest.approx(state.c2, rel=1e-8)
-    # each segment is sampled from its own start, which repeats the end of the
-    # segment before it
-    steps = np.diff(traj.t)
-    assert np.all(steps <= spec.dt_h + 1e-12) and np.sum(steps == 0.0) == 2
-    assert np.all(steps >= 0.0)
-    assert set(np.unique(traj.u)) == {0.0, 0.6, 0.9}
-
-
 def test_integrate_error_types(spec):
     near_stall = PlantState(2.5, 225.0, 50.0)
     with pytest.raises(DomainError):
@@ -277,18 +181,16 @@ def test_integrate_error_types(spec):
     with pytest.raises(ConfigError):
         integrate(near_stall, 0.0, P_GEN, StopCondition.at_time(1.0), spec)
     for kind, value in (("time", math.nan), ("time", math.inf),
-                        ("c1_target", 0.0), ("ratio", -1.0)):
+                        ("ratio", 0.0), ("ratio", -1.0), ("c1_target", 200.0)):
         with pytest.raises(ConfigError):
             StopCondition(kind, value)
     with pytest.raises(SimulationTimeout):        # stop time beyond t_max
         integrate(START, 0.0, P_GEN, StopCondition.at_time(spec.t_max + 1.0), spec)
     with pytest.raises(SimulationTimeout):        # event beyond t_max
-        integrate(START, 0.0, P_GEN, StopCondition.c1_reached(200.0),
+        integrate(START, 0.0, P_GEN, StopCondition.ratio_reached(4.0),
                   ProcessSpec(t_max=1.0))
     with pytest.raises(SimulationTimeout):        # ratio behind the stall asymptote
         integrate(near_stall, 0.3, P_GEN, StopCondition.ratio_reached(spec.ratio_f), spec)
-    with pytest.raises(SimulationTimeout):        # the switching function only rises
-        integrate(START, 0.95, P_GEN, StopCondition.switch_crossing(), spec)
     with pytest.raises(SimulationTimeout):        # c1 grows without bound first
         integrate(near_stall, 0.95, P_GEN, StopCondition.at_time(50.0), spec)
     with pytest.raises(StallError):
@@ -328,38 +230,10 @@ def test_dilute_preserves_ratio(c1, c2, frac):
     assert post.c1 / post.c2 == pytest.approx(c1 / c2, rel=1e-12)
 
 
-def test_measure_noise_free():
-    rng = np.random.default_rng(0)
-    s = PlantState(0.0, 50.0, 50.0)
-    m = measure(s, P1C, 0.0, rng)
-    assert m.q_m == flux(50.0, 50.0, P1C)
-    assert (m.c1, m.c2) == (50.0, 50.0)
-
-
-def test_measure_seed_replay():
-    s = PlantState(0.0, 60.0, 40.0)
-    seq1 = [measure(s, P1C, 0.1, np.random.default_rng(42)).q_m for _ in range(1)]
-    a = [measure(s, P1C, 0.1, rng).q_m for rng in [np.random.default_rng(42)]]
-    rng1, rng2 = np.random.default_rng(7), np.random.default_rng(7)
-    qs1 = [measure(s, P1C, 0.1, rng1).q_m for _ in range(100)]
-    qs2 = [measure(s, P1C, 0.1, rng2).q_m for _ in range(100)]
-    assert qs1 == qs2
-    assert seq1 == a
-
-
-def test_measure_noise_law():
-    rng = np.random.default_rng(123)
-    s = PlantState(0.0, 50.0, 50.0)
-    q_true = flux(50.0, 50.0, P1C)
-    eta = np.array([measure(s, P1C, 0.1, rng).q_m - q_true for _ in range(100_000)])
-    assert np.max(np.abs(eta)) <= 0.1
-    assert abs(np.mean(np.abs(eta)) - 0.05) <= 0.002
-
-
 def test_process_spec_json_roundtrip(tmp_path):
     spec = ProcessSpec(sigma=0.2, dt_sample=60.0)
     path = tmp_path / "spec.json"
-    spec.to_json(str(path))
+    path.write_text(json.dumps(dataclasses.asdict(spec)))
     assert ProcessSpec.from_json(str(path)) == spec
     path.write_text(json.dumps({"c1_0": 50, "bogus": 1}))
     with pytest.raises(ConfigError):
@@ -373,6 +247,21 @@ def test_process_spec_json_roundtrip(tmp_path):
 def test_process_spec_validation(kw):
     with pytest.raises(ConfigError):
         ProcessSpec(**kw)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"c1_0": "x"}', "c1_0 must be a finite number"),
+    ('{"V0": true}', "V0 must be a finite number"),
+    ('{"sigma": NaN}', "sigma must be a finite number"),
+    ('{"t_max": Infinity}', "t_max must be a finite number"),
+    ("[1, 2]", "must be a JSON object"),
+], ids=["string", "bool", "nan", "infinity", "not_object"])
+def test_process_spec_bad_json_names_file(tmp_path, text, message):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message) as err:
+        ProcessSpec.from_json(str(path))
+    assert str(path) in str(err.value)
 
 
 def test_trajectory_csv(tmp_path, spec):

@@ -9,10 +9,10 @@ from scipy.optimize import linprog
 
 from dfrto.cases import get_case
 from dfrto.errors import (ConfigError, DomainError, InfeasibleLPError,
-                          ModelInvalidatedError, UnboundedLPError)
+                          ModelInvalidatedError)
 from dfrto.process import Measurement, ProcessSpec, StopCondition, integrate
 from dfrto.setmem import (OnlineBoxEstimator, ParamBox, _WarmBoundLP,
-                          read_measurements_csv, write_boxes_csv)
+                          read_measurements_csv, scenario_points, write_boxes_csv)
 from dfrto.strategies import optimal_strategy
 from oracles import grid_feasible_box, lp_vertex_enumeration
 
@@ -182,13 +182,11 @@ def test_lp_stores_exactly_the_rows_that_cut_the_box():
         assert np.array_equal(np.concatenate(lp.bounds()), PRIOR.lo + PRIOR.hi), name
 
 
-def test_lp_infeasible_distinct_from_unbounded():
+def test_lp_infeasible_raises():
     lp = _WarmBoundLP(PRIOR)
     lp.process_row(np.array([1.0, 0.0, 0.0]), 16.0)     # p1 <= 16
     with pytest.raises(InfeasibleLPError):
         lp.process_row(np.array([-1.0, 0.0, 0.0]), -17.0)  # and p1 >= 17
-    assert not issubclass(InfeasibleLPError, UnboundedLPError)
-    assert not issubclass(UnboundedLPError, InfeasibleLPError)
 
 
 def test_lp_determinism():
@@ -546,13 +544,44 @@ def test_nonfinite_input_rejected_before_any_change(path):
 def test_box_helpers():
     box = ParamBox((0.0, 0.0, 0.5), (1.0, 2.0, 0.5))
     assert box.mid().as_array() == pytest.approx([0.5, 1.0, 0.5])
-    assert box.vertices().shape == (4, 3)  # degenerate p3 deduplicates
-    pts = box.sample_lhs(32, seed=1)
-    assert pts.shape == (32, 3)
+    pts = scenario_points(box.lo_arr(), box.hi_arr(), 32, seed=1)
+    assert pts.shape == (4 + 1 + 32, 3)  # degenerate p3 deduplicates the corners
     assert np.all(pts >= box.lo_arr()) and np.all(pts <= box.hi_arr())
-    assert np.array_equal(box.sample_lhs(32, seed=1), pts)
+    assert np.array_equal(scenario_points(box.lo_arr(), box.hi_arr(), 32, seed=1), pts)
     with pytest.raises(ConfigError):
         ParamBox((1.0, 0.0, 0.0), (0.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("n", [1, 5, 16, 64])
+def test_scenario_lhs_fills_every_stratum_once(n):
+    lo, hi = np.array([-1.0, 2.0, 10.0]), np.array([3.0, 2.5, 30.0])
+    lhs = scenario_points(lo, hi, n, seed=7)[-n:]
+    strata = np.floor((lhs - lo) / (hi - lo) * n).astype(int)
+    for j in range(3):
+        assert sorted(strata[:, j].tolist()) == list(range(n))
+
+
+def test_scenario_corners_deduplicated_and_midpoint_present():
+    lo, hi = np.array([1.0, 2.0, 0.0]), np.array([3.0, 2.0, 0.0])
+    pts = scenario_points(lo, hi, 0)
+    # two coordinates are degenerate: two corners, then the midpoint
+    assert pts.tolist() == [[1.0, 2.0, 0.0], [3.0, 2.0, 0.0], [2.0, 2.0, 0.0]]
+    full = scenario_points(lo - 1.0, hi + 1.0, 3, seed=2)
+    assert len(np.unique(full[:8], axis=0)) == 8
+    assert full[8].tolist() == (0.5 * (lo + hi)).tolist()
+
+
+@pytest.mark.parametrize("case_name, rows", [("generalized", 25), ("limiting_flux", 21)])
+def test_gamma_scenarios_row_count(spec, case_name, rows):
+    case = get_case(case_name)
+    scen = case.gamma_scenarios(spec)
+    assert scen.shape == (rows, 3)
+    assert len(np.unique(scen, axis=0)) == rows
+    box = case.prior_box(spec)
+    assert all(box.contains(p, tol=1e-12) for p in scen)
+    # the midpoint of the gamma box is the nominal point
+    nominal = case.nominal_params(spec).as_array()
+    assert min(np.max(np.abs(p - nominal) / nominal.clip(1.0)) for p in scen) <= 1e-14
 
 
 def test_measurement_csv_roundtrip(tmp_path):

@@ -8,7 +8,7 @@ from dfrto.harness import ExperimentConfig, _batch_rngs, monte_carlo
 from dfrto.policy import compute_switch_times, plan_vectorized, singular_control
 from dfrto.process import (TOL_EVENT, PlantParams, PlantState, ProcessSpec,
                            StopCondition, integrate)
-from dfrto.setmem import ParamBox
+from dfrto.setmem import ParamBox, scenario_points
 from dfrto.strategies import (AdaptiveConfig, NoiseStream, RobustConfig,
                               StrategyDecision, adaptive_strategy,
                               nominal_decision, nominal_strategy,
@@ -55,7 +55,8 @@ def test_realized_stall_returns_inf(spec):
 def test_realized_grids_match_single_commits(spec):
     """A column of t1 commits, or of singular controls from one concentrate
     end state (u = 1 included), gives the times of one call per commit."""
-    P = ParamBox.from_gamma_box((0.027, 900.0, 0.0), (0.033, 1100.0, 0.11)).vertices()
+    box = ParamBox.from_gamma_box((0.027, 900.0, 0.0), (0.033, 1100.0, 0.11))
+    P = scenario_points(box.lo_arr(), box.hi_arr(), 0)[:-1]      # the corners
     t1 = np.linspace(1.5, 3.0, 7)
     grid = realized_batch_times(P, t1[:, None], 0.9, spec)
     each = np.array([realized_batch_times(P, t, 0.9, spec) for t in t1.tolist()])
@@ -132,7 +133,7 @@ def test_all_strategies_tie_on_point_box(spec, p_nom2):
     P0 = _point_box(p_nom2)
     res_o = optimal_strategy(p_nom2, spec)
     res_n = nominal_strategy(P0, p_nom2, spec)
-    res_r = robust_strategy(P0, p_nom2, spec)
+    res_r = robust_strategy(P0, p_nom2, spec, scenarios=p_nom2.as_array()[None, :])
     res_a = adaptive_strategy(P0, p_nom2, spec, _noise(1, spec))
     for res in (res_n, res_r, res_a):
         assert res.tf == pytest.approx(res_o.tf, abs=2e-3)
