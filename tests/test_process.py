@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from dfrto.errors import ConfigError, DomainError, SimulationTimeout, StallError
 from dfrto.process import (GAMMA1_UNIT_SCALE, PlantParams, PlantState, ProcessSpec,
-                           StopCondition, dilute, flux, integrate)
+                           StopCondition, Trajectory, dilute, flux, integrate)
 from dfrto.policy import compute_switch_times, singular_control
+from dfrto.strategies import NoiseStream, _rhs_factory
 from oracles import ode_integrate, rk4_integrate
 
 P1C = PlantParams(20.7233, 3.0, 0.0)
@@ -58,6 +59,16 @@ def test_flux_domain_error():
         flux(5.0, 0.0, P1C)
 
 
+def test_rhs_modes(spec):
+    # the derivative the adaptive strategy hands to solve_ivp, y = (c1, c2)
+    dc1, dc2 = _rhs_factory(P1C, 1.0, spec.mass)(0.0, (50.0, 50.0))
+    assert dc1 == 0.0
+    dc1, dc2 = _rhs_factory(P1C, 0.0, spec.mass)(0.0, (50.0, 50.0))
+    assert dc2 == 0.0
+    assert dc1 == pytest.approx(2500 * 8.9872 / 1000, rel=1e-4)
+    assert dc1 == pytest.approx(22.47, abs=5e-3)
+
+
 def test_integrate_zero_horizon(spec):
     s = PlantState(0.0, 50.0, 50.0)
     traj = integrate(s, 0.0, P1C, StopCondition.at_time(0.0), spec)
@@ -87,6 +98,17 @@ def test_constant_arcs(spec):
     assert np.all(tr0.c2 == s.c2)
 
 
+def test_event_localization_tolerance(spec):
+    # the ratio stop lies on c1/c2 = 10 to within 1e-6 h of its rate of change
+    traj = integrate(START, 0.6, P_GEN, StopCondition.ratio_reached(10.0), spec,
+                     record=False)
+    end = traj.final_state()
+    dc1, dc2 = _rhs_factory(P_GEN, 0.6, spec.mass)(end.t, (end.c1, end.c2))
+    slope = (dc1 * end.c2 - end.c1 * dc2) / end.c2 ** 2
+    assert slope > 0.0
+    assert abs(end.c1 / end.c2 - 10.0) <= 1e-6 * slope
+
+
 def test_timeout_error():
     spec = ProcessSpec(t_max=1.0)
     s = PlantState(0.0, 50.0, 50.0)
@@ -100,6 +122,28 @@ def test_stall_error(spec):
     s = PlantState(0.0, 1500.0, 50.0)  # above the limiting concentration
     with pytest.raises(StallError):
         integrate(s, 0.0, P1C, StopCondition.at_time(1.0), spec, record=False)
+
+
+def _chain(state, profile, p, stop, spec, *, record=True):
+    """Constant arcs in sequence, as the strategies run a policy: each (t_until,
+    u) arc stops at t_until, the last at `stop`, joined by Trajectory.concat."""
+    parts = []
+    for i, (t_until, u) in enumerate(profile):
+        seg = stop if i == len(profile) - 1 else StopCondition.at_time(t_until)
+        parts.append(integrate(state, u, p, seg, spec, record=record))
+        state = parts[-1].final_state()
+    return Trajectory.concat(parts)
+
+
+def test_piecewise_control(spec):
+    s = PlantState(0.0, 50.0, 50.0)
+    traj = _chain(s, [(1.0, 0.0), (math.inf, 1.0)], P1C, StopCondition.at_time(2.0),
+                  spec, record=False)
+    end = traj.final_state()
+    t_mid, c1m, c2m, _ = rk4_integrate(s, 0.0, P1C, spec, 1.0, h=1e-4)
+    _, c1e, c2e, _ = rk4_integrate(PlantState(t_mid, c1m, c2m), 1.0, P1C, spec, 2.0, h=1e-4)
+    assert end.c1 == pytest.approx(c1e, rel=1e-5)
+    assert end.c2 == pytest.approx(c2e, rel=1e-5)
 
 
 # --- closed-form integrate against the independent ODE oracle -----------------
@@ -172,6 +216,25 @@ def test_recorded_grid_is_samples_plus_event(spec):
     assert short.final_state() == traj.final_state()
 
 
+def test_piecewise_profile_with_event_vs_ode(spec):
+    profile = [(1.0, 0.0), (2.0, 0.6), (math.inf, 0.9)]
+    traj = _chain(START, profile, P_GEN, StopCondition.ratio_reached(100.0), spec)
+    state = START
+    for (t_until, u), last in zip(profile, (False, False, True)):
+        ref = (ode_integrate(state, u, P_GEN, spec, "ratio", 100.0) if last
+               else ode_integrate(state, u, P_GEN, spec, "time", t_until))
+        state = PlantState(ref.t[-1], ref.c1[-1], ref.c2[-1])
+    assert traj.event_time == pytest.approx(ref.event_time, abs=1e-8)
+    assert traj.final_state().c1 == pytest.approx(state.c1, rel=1e-8)
+    assert traj.final_state().c2 == pytest.approx(state.c2, rel=1e-8)
+    # each segment is sampled from its own start, which repeats the end of the
+    # segment before it
+    steps = np.diff(traj.t)
+    assert np.all(steps <= spec.dt_h + 1e-12) and np.sum(steps == 0.0) == 2
+    assert np.all(steps >= 0.0)
+    assert set(np.unique(traj.u)) == {0.0, 0.6, 0.9}
+
+
 def test_integrate_error_types(spec):
     near_stall = PlantState(2.5, 225.0, 50.0)
     with pytest.raises(DomainError):
@@ -228,6 +291,29 @@ def test_dilute_preserves_ratio(c1, c2, frac):
     s = PlantState(0.0, c1, c2)
     post = dilute(s, c1 * frac)
     assert post.c1 / post.c2 == pytest.approx(c1 / c2, rel=1e-12)
+
+
+# the adaptive strategy measures flux(c1, c2, p_true) + NoiseStream.eta(k)
+def test_measure_noise_free():
+    eta = NoiseStream(np.random.default_rng(0), 0.0).eta(np.arange(5))
+    assert eta.tolist() == [0.0] * 5
+    assert flux(50.0, 50.0, P1C) + eta[0] == flux(50.0, 50.0, P1C)
+
+
+def test_measure_seed_replay():
+    q = flux(60.0, 40.0, P1C)
+    qs1 = q + NoiseStream(np.random.default_rng(7), 0.1).eta(np.arange(100))
+    qs2 = q + NoiseStream(np.random.default_rng(7), 0.1).eta(np.arange(100))
+    assert qs1.tolist() == qs2.tolist()
+    # a sample depends on its index only, not on which samples came before
+    stream = NoiseStream(np.random.default_rng(7), 0.1)
+    assert (q + stream.eta(np.array([42]))).tolist() == qs1[[42]].tolist()
+
+
+def test_measure_noise_law():
+    eta = NoiseStream(np.random.default_rng(123), 0.1).eta(np.arange(100_000))
+    assert np.max(np.abs(eta)) <= 0.1
+    assert abs(np.mean(np.abs(eta)) - 0.05) <= 0.002
 
 
 def test_process_spec_json_roundtrip(tmp_path):

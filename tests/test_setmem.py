@@ -182,9 +182,14 @@ def test_lp_stores_exactly_the_rows_that_cut_the_box():
         assert np.array_equal(np.concatenate(lp.bounds()), PRIOR.lo + PRIOR.hi), name
 
 
-def test_lp_infeasible_raises():
+def test_lp_infeasible_distinct_from_unbounded():
     lp = _WarmBoundLP(PRIOR)
     lp.process_row(np.array([1.0, 0.0, 0.0]), 16.0)     # p1 <= 16
+    # a feasible LP is never unbounded: the prior box bounds every objective
+    lo, hi = lp.bounds()
+    assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
+    assert lo.tolist() == [15.0, 2.0, 0.0]
+    assert hi.tolist() == pytest.approx([16.0, 4.0, 1.0], rel=1e-9)
     with pytest.raises(InfeasibleLPError):
         lp.process_row(np.array([-1.0, 0.0, 0.0]), -17.0)  # and p1 >= 17
 
