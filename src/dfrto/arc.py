@@ -21,29 +21,42 @@ Every routine broadcasts over numpy arrays: one arc per parameter row
 (realized_batch_times) or one arc at many sample times (the adaptive loop and
 process.integrate).
 
-One plant row at a few points is mostly numpy call overhead: a Halley pass
-over two points costs 35 to 70 numpy calls.  So `_ArcIntegral` also has a
-kernel in Python floats.  The shape of the call selects it: a scalar r and at
-most _FLOAT_POINTS points (the end state of a `process.integrate` arc, an
-event time through `Arc.time_to`, a tail block of the adaptive loop).
-Parameter rows and sample blocks stay on the array form.  The float kernel
+One plant at a few points is mostly numpy call overhead: a Halley pass over
+two points costs 35 to 70 numpy calls, and each np.where or np.errstate on a
+0-d value costs as much as the arithmetic of a whole arc.  So there is a path
+in Python floats too, and the shape of the inputs selects it:
+  - `_ArcIntegral` takes it for a scalar r and at most _FLOAT_POINTS points
+    (a tail block of the adaptive loop);
+  - `Arc` takes it when every plant input (t0, x0, v0, u, p1, p2, p3) is a
+    scalar: it then holds Python floats, and `time_to`, `at_y`, `ratio_y`,
+    `ratio_event`, `y_bound` and `states` at one time return Python floats
+    (the stop of a `process.integrate` arc, the t1 of a one-plant plan).
+    With an array argument (a block of sample times) they take the array
+    form.
+Parameter rows and sample blocks stay on the array form.  The float path
 performs the array form's operations in the same order, with the same stopping
 rule (every point iterates until all points of the call have converged), and
 returns the same bits (a NaN's sign bit aside, which no comparison reads):
   - Python's + - * / are the IEEE operations numpy's loops perform; where
-    numpy would divide by zero, the kernel takes the branch the resulting
-    inf or nan would have taken.
+    numpy would divide by zero, the float path takes the branch the resulting
+    inf or nan would have taken, or divides with _div.
   - Every transcendental is a numpy or scipy ufunc called on a Python float
-    (np.exp, np.expm1, np.log1p, scipy.special.expi), which runs the array
-    loop on one element.  Never use math.*: on an AVX-512 Xeon, math.exp,
-    math.expm1, math.log1p and math.log differ from numpy's array loops on
-    9,236, 17,008, 17,275 and 79 of 200,000 uniform inputs (on [-5, 5],
-    [-5, 5], [-0.999, 5] and [1e-3, 50]), while the scalar ufunc calls
-    matched the array loops on all of 20,000 inputs on [-600, 600].
+    (np.exp, np.expm1, np.log, np.log1p, scipy.special.expi and exprel),
+    which runs the array loop on one element.  Never use math.*: on an
+    AVX-512 Xeon, math.exp, math.expm1, math.log1p and math.log differ from
+    numpy's array loops on 9,236, 17,008, 17,275 and 79 of 200,000 uniform
+    inputs (on [-5, 5], [-5, 5], [-0.999, 5] and [1e-3, 50]), while the
+    scalar ufunc calls matched the array loops on all of 20,000 inputs on
+    [-600, 600].
+  - The array form ignores floating-point flags under np.errstate, which
+    costs about 2 us a block; the float path calls a ufunc through _call,
+    which enters one only for an argument that can raise a flag.
 tests/test_arc.py checks the two forms bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import expi, exprel
@@ -60,6 +73,38 @@ _ASYMPTOTIC_TERMS = 9
 # 0, 1e-4) and takes 0.3 to 0.45 of its time at 8
 _FLOAT_POINTS = 8
 _INF, _NAN = float("inf"), float("nan")
+# plant inputs of these types put an Arc on the float path (numpy's float64 is
+# a float)
+_SCALAR = (float, int)
+# np.exp and np.expm1 overflow above ln(DBL_MAX) = 709.78
+_EXP_MAX = 709.0
+
+
+def _call(f, x: float, safe: bool) -> float:
+    """The ufunc f at one Python float x, as a Python float.  Where `safe` is
+    false (x may raise a floating-point flag), the flags are ignored, as the
+    array form ignores them; the value is the same either way."""
+    if safe:
+        return float(f(x))
+    with np.errstate(all="ignore"):
+        return float(f(x))
+
+
+def _exp(x: float) -> float:
+    """np.exp at one Python float, as _call evaluates it."""
+    if x <= _EXP_MAX:
+        return float(np.exp(x))
+    return _call(np.exp, x, False)
+
+
+def _div(a: float, b: float) -> float:
+    """a/b in Python floats, with numpy's IEEE result (+-inf or nan) where b
+    is zero instead of ZeroDivisionError."""
+    if b != 0.0:
+        return a / b
+    if a != a or a == 0.0:
+        return _NAN
+    return math.copysign(_INF, a) * math.copysign(1.0, b)
 
 
 def _scaled_expi(z: np.ndarray) -> np.ndarray:
@@ -83,7 +128,7 @@ def _scaled_expi_float(z: float) -> float:
         for n in range(_ASYMPTOTIC_TERMS, 0, -1):
             s = 1.0 + n * s / z
         return s / z
-    return float(np.exp(-z)) * float(expi(z))
+    return float(np.exp(-z)) * float(expi(z))     # |z| < 500 raises no flag
 
 
 class _ArcIntegral:
@@ -132,9 +177,9 @@ class _ArcIntegral:
         the array form in the same order."""
         r = self._rf
         if r == 0.0:
-            return -float(np.expm1(-y))
+            return -_call(np.expm1, -y, -y <= _EXP_MAX)
         z0, g0 = self._consts()
-        return (g0 - float(np.exp(-y)) * _scaled_expi_float(z0 - y)) / r
+        return (g0 - _exp(-y) * _scaled_expi_float(z0 - y)) / r
 
     def inverse(self, tau, y_hi) -> np.ndarray:
         """Y in (0, y_hi) with F(Y, r) = tau, elementwise (safeguarded Halley).
@@ -181,9 +226,11 @@ class _ArcIntegral:
         for tau, hi in zip(taus, his):
             if tau <= 0.0:
                 ys.append(0.0)
-                continue
-            y0 = -float(np.log1p(-tau))       # the r = 0 solution
-            ys.append(y0 if -_INF < y0 < _INF and 0.0 < y0 < hi else 0.5 * hi)
+            elif tau < 1.0:
+                y0 = -float(np.log1p(-tau))   # the r = 0 solution, finite here
+                ys.append(y0 if 0.0 < y0 < hi else 0.5 * hi)
+            else:                             # y0 would be +inf or nan
+                ys.append(0.5 * hi)
         for _ in range(100):
             done = True
             for i in range(n):
@@ -197,7 +244,7 @@ class _ArcIntegral:
                 y_new = _NAN
                 g = 1.0 - r * y
                 if g != 0.0:
-                    step = f * float(np.exp(y)) * g
+                    step = f * _exp(y) * g
                     d = 1.0 - 0.5 * step * (r / g - 1.0)
                     if d != 0.0:
                         y_new = y - step / d
@@ -210,9 +257,13 @@ class _ArcIntegral:
                 break
         return ys
 
-    def limit(self) -> np.ndarray:
+    def limit(self):
         """F(inf, r): +inf for r > 0 (the flux stalls at Y = 1/r), finite for
-        r <= 0 (c1 grows without bound in finite time)."""
+        r <= 0 (c1 grows without bound in finite time); a Python float for a
+        scalar r."""
+        r = self._rf
+        if r is not None:
+            return _INF if r > 0.0 else 1.0 if r == 0.0 else self._consts()[1] / r
         r = self.r
         if np.all(r > 0.0):
             return np.full(r.shape, np.inf)
@@ -233,14 +284,32 @@ class Arc:
 
     t0, x0, v0 and the parameters p1, p2, p3 may be arrays of one shape, and
     so may u if every control is below _U_FROZEN.  For u < 1, v = v0 - k*Y
-    and t = t0 + T*F(Y, r) with Y = x - x0.
+    and t = t0 + T*F(Y, r) with Y = x - x0.  When every one of them is a
+    scalar, the arc is on the float path (`scalar`; see the module
+    docstring): its constants are Python floats, and so are its results at
+    one point.
     """
 
-    def __init__(self, t0, x0, v0, u: float, p1, p2, p3, m: float):
+    def __init__(self, t0, x0, v0, u, p1, p2, p3, m: float):
+        self.scalar = (isinstance(t0, _SCALAR) and isinstance(x0, _SCALAR)
+                       and isinstance(v0, _SCALAR) and isinstance(u, _SCALAR)
+                       and isinstance(p1, _SCALAR) and isinstance(p2, _SCALAR)
+                       and isinstance(p3, _SCALAR))
+        if self.scalar:
+            t0, x0, v0, u, p1, p2, p3, m = map(float, (t0, x0, v0, u, p1, p2, p3, m))
         self.t0, self.x0, self.v0, self.p3, self.m = t0, x0, v0, p3, m
         self.u = u
+        self.frozen = ((self.scalar or np.ndim(u) == 0)
+                       and u >= _U_FROZEN)               # c1 stays constant
+        if self.scalar:
+            self.q0 = p1 - p2 * x0 - p3 * v0
+            if not self.frozen:
+                self.k = u / (1.0 - u)
+                self.r = _div(p2 - p3 * self.k, self.q0)
+                self.T = _div(m * _exp(-x0), (1.0 - u) * self.q0)
+                self._F = _ArcIntegral(self.r)
+            return
         self.q0 = np.asarray(p1 - p2 * x0 - p3 * v0, dtype=float)
-        self.frozen = np.ndim(u) == 0 and u >= _U_FROZEN     # c1 stays constant
         if not self.frozen:
             self.k = u / (1.0 - u)
             with np.errstate(all="ignore"):
@@ -250,18 +319,30 @@ class Arc:
 
     def time_to(self, x):
         """Time at which ln c1 reaches x >= x0 (u < 1); +inf at the stall."""
+        if self.scalar and isinstance(x, _SCALAR):
+            return self.t0 + self.T * self._F._float(float(x) - self.x0)
         with np.errstate(all="ignore"):
             return self.t0 + self.T * self._F(x - self.x0)
 
     def ratio_y(self, ln_rf: float):
         """Y (or, at u = 1, the fall of v) at which c1/c2 reaches e^ln_rf."""
-        gap = np.maximum(ln_rf - (self.x0 - self.v0), 0.0)   # ln c1/c2 still to gain
+        if self.scalar:
+            gap = ln_rf - (self.x0 - self.v0)         # ln c1/c2 still to gain
+            if not (gap > 0.0 or gap != gap):         # np.maximum keeps a NaN
+                gap = 0.0
+        else:
+            gap = np.maximum(ln_rf - (self.x0 - self.v0), 0.0)
         return gap if self.frozen else (1.0 - self.u) * gap
 
     def at_y(self, Y):
         """(t, x, v) where ln c1 has grown by Y >= 0 (u < 1); t = +inf where
         the flux stalls first (or is not positive to begin with)."""
         q0 = self.q0
+        if self.scalar and isinstance(Y, _SCALAR):
+            q_end = q0 * (1.0 - self.r * Y)
+            x, v = self.x0 + Y, self.v0 - self.k * Y
+            reached = q0 > _Q_FLOOR and q_end > _Q_FLOOR
+            return (self.time_to(x) if reached else _INF), x, v
         with np.errstate(all="ignore"):
             q_end = q0 * (1.0 - self.r * Y)
             x, v = self.x0 + Y, self.v0 - self.k * Y
@@ -275,12 +356,19 @@ class Arc:
         Y = self.ratio_y(ln_rf)
         if not self.frozen:
             return self.at_y(Y)
-        q0 = self.q0
+        q0, p3 = self.q0, self.p3
+        # v falls by Y while the flux grows linearly in that fall
+        if self.scalar:
+            t = _INF
+            if q0 > _Q_FLOOR and q0 + p3 * Y > _Q_FLOOR:
+                z = p3 * Y / q0
+                rel = 1.0 if z == 0.0 else _call(np.log1p, z, z > -1.0) / z
+                t = self.t0 + (self.m * _exp(-self.x0) * Y / q0 * rel)
+            return t, self.x0 + 0.0 * Y, self.v0 - Y
         with np.errstate(all="ignore"):
-            # v falls by Y while the flux grows linearly in that fall
-            q_end = q0 + self.p3 * Y
+            q_end = q0 + p3 * Y
             t = self.t0 + (self.m * np.exp(-self.x0) * Y / q0
-                           * _log1p_rel(self.p3 * Y / q0))
+                           * _log1p_rel(p3 * Y / q0))
             reached = (q0 > _Q_FLOOR) & (q_end > _Q_FLOOR)
             return np.where(reached, t, np.inf), self.x0 + 0.0 * Y, self.v0 - Y
 
@@ -289,6 +377,9 @@ class Arc:
         to bracket states(t): there F(inf) - F(Y) <= e^(-Y).  The result is
         +inf or nan where c1 has grown without bound by t, and -inf where
         r > 0, where states does not use it."""
+        if self.scalar and isinstance(t, _SCALAR):
+            rest = self._F.limit() - _div(float(t) - self.t0, self.T)
+            return -_call(np.log, rest, rest > 0.0)
         with np.errstate(all="ignore"):
             return -np.log(self._F.limit() - (t - self.t0) / self.T)
 
@@ -299,6 +390,8 @@ class Arc:
         where r > 0 and by y_hi elsewhere, so y_hi must be a Y that the arc
         reaches no earlier than the last of t (its stop: ratio_y or y_bound).
         """
+        if self.scalar and isinstance(t, _SCALAR) and isinstance(y_hi, _SCALAR):
+            return self._state(float(t) - self.t0, float(y_hi))
         s = np.asarray(t, dtype=float) - self.t0
         q0 = self.q0
         with np.errstate(all="ignore"):
@@ -307,7 +400,22 @@ class Arc:
                 v = self.v0 - np.exp(self.x0) * q0 / self.m * s * exprel(beta * s)
                 return self.x0 + 0.0 * s, v
             moving = q0 > _Q_FLOOR            # a stalled plant stays where it is
-            hi = np.where(self.r > 0.0, 1.0 / self.r, y_hi)
+            # np.divide: the r of a float-path arc may be a Python 0.0
+            hi = np.where(self.r > 0.0, np.divide(1.0, self.r), y_hi)
             Y = self._F.inverse(np.where(moving, s / self.T, 0.0), hi)
             Y = np.where(moving, Y, 0.0)
             return self.x0 + Y, self.v0 - self.k * Y
+
+    def _state(self, s: float, y_hi: float) -> tuple[float, float]:
+        """states() of a float-path arc at the one time t0 + s."""
+        if self.frozen:
+            ex = _exp(self.x0)
+            beta = self.p3 * ex / self.m
+            rel = float(exprel(beta * s))     # scipy's exprel raises no flag
+            return self.x0 + 0.0 * s, self.v0 - ex * self.q0 / self.m * s * rel
+        Y = 0.0                               # a stalled plant stays where it is
+        if self.q0 > _Q_FLOOR:
+            r = self.r
+            hi = 1.0 / r if r > 0.0 else y_hi
+            Y = self._F._inverse_floats([_div(s, self.T)], [0.0 + hi])[0]
+        return self.x0 + Y, self.v0 - self.k * Y

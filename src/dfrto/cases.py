@@ -41,15 +41,15 @@ class CaseStudy:
         hi = (self.gamma1 * (1 + pct), self.gamma2 * (1 + pct), self.gamma3 * (1 + pct))
         return ParamBox.from_gamma_box(lo, hi, area=spec.A)
 
-    def draw_truth_gamma(self, rng: np.random.Generator,
-                         pct: float = UNCERTAINTY_PCT_DEFAULT,
-                         spec: ProcessSpec | None = None) -> PlantParams:
+    def draw_truth_gamma(self, rng: np.random.Generator, pct: float,
+                         spec: ProcessSpec) -> PlantParams:
         """Uniform componentwise draw of (gamma1, gamma2, gamma3) in the +-pct
-        box, mapped to p-space; always inside the enclosing prior box."""
-        area = spec.A if spec is not None else 1.0
+        box, mapped to p-space; always inside the enclosing prior box.  The
+        parameters are Python floats, so the plant runs on the float path of
+        dfrto.arc."""
         g = np.array([self.gamma1, self.gamma2, self.gamma3])
-        draw = rng.uniform(g * (1 - pct), g * (1 + pct))
-        return PlantParams.from_gamma(draw[0], draw[1], draw[2], area=area)
+        draw = rng.uniform(g * (1 - pct), g * (1 + pct)).tolist()
+        return PlantParams.from_gamma(*draw, area=spec.A)
 
     def gamma_scenarios(self, spec: ProcessSpec,
                         pct: float = UNCERTAINTY_PCT_DEFAULT) -> np.ndarray:

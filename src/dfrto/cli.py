@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: simulate, estimate, reach, montecarlo, summarize.
-Exit codes: 0 success, 2 configuration error, 3 model invalidated,
-4 timeout or flux stall.
+Exit codes: 0 success, 2 configuration error (including a prior box or
+truth that starts outside the concentrate/singular/dilute structure),
+3 model invalidated, 4 timeout or flux stall.
 """
 
 from __future__ import annotations
@@ -11,10 +12,12 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .cases import UNCERTAINTY_PCT_DEFAULT, get_case
 from .errors import (ConfigError, DfrtoError, ModelInvalidatedError,
-                     SimulationTimeout, StallError)
-from .harness import (ExperimentConfig, STRATEGIES, _batch_rngs, monte_carlo,
+                     SimulationTimeout, StallError, UnsupportedStructureError)
+from .harness import (ExperimentConfig, STRATEGIES, _batch_seeds, monte_carlo,
                       read_results_csv, summarize)
 from .process import ProcessSpec
 from .reach import project_switch_windows
@@ -33,8 +36,9 @@ def _cmd_simulate(args) -> int:
     case = get_case(args.case)
     P0 = case.prior_box(spec, args.uncertainty)
     # the truth and noise of batch 0 of `montecarlo --seed` with the same case
-    truth_rng, noise_rng = _batch_rngs(args.seed, 0)
-    p_true = case.draw_truth_gamma(truth_rng, args.uncertainty, spec)
+    _, truth, noise = _batch_seeds(args.seed, 0)
+    p_true = case.draw_truth_gamma(np.random.default_rng(truth), args.uncertainty,
+                                   spec)
     if args.strategy == "optimal":
         res = optimal_strategy(p_true, spec, record=True)
     elif args.strategy == "nominal":
@@ -44,7 +48,8 @@ def _cmd_simulate(args) -> int:
         res = robust_strategy(P0, p_true, spec, scenarios=scen, record=True)
     elif args.strategy == "adaptive":
         res = adaptive_strategy(P0, p_true, spec,
-                                NoiseStream(noise_rng, spec.sigma), record=True)
+                                NoiseStream(np.random.default_rng(noise), spec.sigma),
+                                record=True)
     else:
         raise ConfigError(f"unknown strategy {args.strategy!r}")
     if res.timed_out:
@@ -173,6 +178,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except UnsupportedStructureError as exc:
+        # e.g. an --uncertainty whose prior box holds plants that start below
+        # the singular surface; the message names such a plant
+        print(f"config error: unsupported model structure: {exc}", file=sys.stderr)
         return 2
     except ModelInvalidatedError as exc:
         print(f"model invalidated: {exc}", file=sys.stderr)

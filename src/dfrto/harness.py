@@ -53,47 +53,49 @@ class ExperimentConfig:
         get_case(self.case)
 
 
-def _batch_seed(master_seed: int, i: int) -> int:
-    return int(np.random.SeedSequence((master_seed, i)).generate_state(1)[0])
+def _batch_seeds(master_seed: int, i: int) -> tuple[int, np.random.SeedSequence,
+                                                 np.random.SeedSequence]:
+    """Batch i's results-CSV seed and the seed sequences of its truth and of
+    its measurement noise, all from one SeedSequence((master_seed, i))."""
+    ss = np.random.SeedSequence((master_seed, i))
+    truth, noise = ss.spawn(2)
+    return int(ss.generate_state(1)[0]), truth, noise
 
 
-def _batch_rngs(master_seed: int, i: int) -> tuple[np.random.Generator, np.random.Generator]:
-    truth_ss, noise_ss = np.random.SeedSequence((master_seed, i)).spawn(2)
-    return (np.random.default_rng(truth_ss), np.random.default_rng(noise_ss))
-
-
-def _run_strategy(strat: str, cfg: ExperimentConfig, i: int, spec: ProcessSpec,
-                  P0: ParamBox, decisions: dict, p_true: PlantParams) -> BatchResult:
+def _run_strategy(strat: str, spec: ProcessSpec, P0: ParamBox, decisions: dict,
+                  p_true: PlantParams, noise: np.random.SeedSequence) -> BatchResult:
     if strat == "optimal":
         return optimal_strategy(p_true, spec)
     if strat == "nominal":
         return nominal_strategy(P0, p_true, spec, decision=decisions["nominal"])
     if strat == "robust":
         return robust_strategy(P0, p_true, spec, decision=decisions["robust"])
-    # every measuring strategy sees the identical per-sample noise stream
-    _, noise_rng = _batch_rngs(cfg.master_seed, i)
-    return adaptive_strategy(P0, p_true, spec, NoiseStream(noise_rng, spec.sigma))
+    # the only strategy that measures, so the only one that draws noise
+    return adaptive_strategy(P0, p_true, spec,
+                             NoiseStream(np.random.default_rng(noise), spec.sigma))
 
 
 def run_batch(cfg: ExperimentConfig, i: int, spec: ProcessSpec, P0: ParamBox,
-              decisions: dict) -> list[BatchResult]:
-    """All requested strategies on the i-th truth/noise draw.
+              decisions: dict) -> tuple[int, list[BatchResult]]:
+    """Batch i's results-CSV seed and all requested strategies on its
+    truth/noise draw.
 
     Truths are drawn in gamma space (the declared +-pct uncertainty), which
     always lies inside the enclosing p-space prior box used by the estimator.
     A strategy that raises is recorded as failed (timed out, NaN times) on its
     own row; its paired siblings keep their results.
     """
-    truth_rng, _ = _batch_rngs(cfg.master_seed, i)
-    p_true = get_case(cfg.case).draw_truth_gamma(truth_rng, cfg.uncertainty_pct, spec)
+    seed, truth, noise = _batch_seeds(cfg.master_seed, i)
+    p_true = get_case(cfg.case).draw_truth_gamma(np.random.default_rng(truth),
+                                                 cfg.uncertainty_pct, spec)
     out = []
     for strat in cfg.strategies:
         try:
-            out.append(_run_strategy(strat, cfg, i, spec, P0, decisions, p_true))
+            out.append(_run_strategy(strat, spec, P0, decisions, p_true, noise))
         except DfrtoError:
             out.append(BatchResult(strat, p_true, math.nan, math.nan, math.nan,
                                    feasible=False, regret=math.nan, timed_out=True))
-    return out
+    return seed, out
 
 
 def monte_carlo(cfg: ExperimentConfig, spec: ProcessSpec | None = None,
@@ -114,8 +116,8 @@ def monte_carlo(cfg: ExperimentConfig, spec: ProcessSpec | None = None,
         if sink:
             sink.write(",".join(RESULT_COLUMNS) + "\n")
         for i in range(cfg.n_batches):
-            seed_i = _batch_seed(cfg.master_seed, i)
-            for res in run_batch(cfg, i, spec, P0, decisions):
+            seed_i, batch = run_batch(cfg, i, spec, P0, decisions)
+            for res in batch:
                 results.append(res)
                 if sink:
                     sink.write(format_result_row(i, seed_i, res) + "\n")

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .arc import Arc
+from .arc import Arc, _exp
 from .errors import ConfigError, DomainError, SimulationTimeout, StallError
 
 # Flux prefactor calibration: the reported mass-transfer coefficient with A in
@@ -264,9 +264,10 @@ def integrate(state0: PlantState, u: float, p: PlantParams, stop: StopCondition,
     if not 0.0 <= u <= 1.0:
         raise DomainError(f"control ratio u must lie in [0, 1], got {u}")
     t0 = state0.t
+    # scalar inputs: the arc's constants and its stop are Python floats
     arc = Arc(t0, math.log(state0.c1), math.log(state0.c2), u,
               p.p1, p.p2, p.p3, spec.mass)
-    q0 = float(arc.q0)
+    q0 = arc.q0
     if u < 1.0 and q0 <= 0.0:
         raise StallError(
             f"flux nonpositive at the start of a concentrating arc (t={t0:.4f} h)")
@@ -282,42 +283,45 @@ def integrate(state0: PlantState, u: float, p: PlantParams, stop: StopCondition,
             return Trajectory(np.array([t0]), np.array([state0.c1]),
                               np.array([state0.c2]), np.array([u]), np.array([q0]))
         # states brackets with the stall asymptote 1/r where r > 0
-        y_hi = 0.0 if arc.frozen or arc.r > 0.0 else float(arc.y_bound(t_stop))
+        y_hi = 0.0 if arc.frozen or arc.r > 0.0 else arc.y_bound(t_stop)
         if not y_hi < math.inf:
             raise SimulationTimeout(
                 f"c1 grows without bound before t={t_stop} h on this arc")
     else:
-        t_stop, x_ev, v_ev = (float(a) for a in arc.ratio_event(math.log(stop.value)))
+        t_stop, x_ev, v_ev = arc.ratio_event(math.log(stop.value))
         if not t_stop <= spec.t_max:
             raise SimulationTimeout(
                 f"stop condition {stop.kind!r} not reached by t_max={spec.t_max} h")
         y_hi = x_ev - arc.x0
 
-    event = stop.kind != "time"
-    if record:
-        dt = spec.dt_h
-        n = int(math.floor((t_stop - t0) / dt + 1e-9))
-        ts = t0 + dt * np.arange(n + 1)
-        if t_stop - ts[-1] > 1e-12:
-            ts = np.append(ts, t_stop)
-        else:
-            ts[-1] = t_stop
-        x, v = arc.states(ts, y_hi)
-        if event:
-            x[-1], v[-1] = x_ev, v_ev
-    else:
-        # The start and the stop only.  The start state is exact: in a
-        # states() call it sits at Y = 0 and converges on the first Halley
-        # pass, so solving for the stop alone gives the same bits.
-        if not event:
-            x_ev, v_ev = (float(a[0]) for a in arc.states(np.array([t_stop]), y_hi))
+    event_time = t_stop if stop.kind != "time" else None
+    if not record:
+        # The start and the stop only, in Python floats.  The start state is
+        # exact: in a states() call it sits at Y = 0 and converges on the first
+        # Halley pass, so solving for the stop alone gives the same bits.
+        if event_time is None:
+            x_ev, v_ev = arc.states(t_stop, y_hi)
         moved = t_stop > t0
-        ts = np.array([t0, t_stop] if moved else [t0])
-        x = np.array([arc.x0, x_ev] if moved else [x_ev])
-        v = np.array([arc.v0, v_ev] if moved else [v_ev])
-    # relative to the start, so that a state that does not move stays exact
-    c1s = state0.c1 * np.exp(x - arc.x0)
+        ts = [t0, t_stop] if moved else [t0]
+        xs = [arc.x0, x_ev] if moved else [x_ev]
+        vs = [arc.v0, v_ev] if moved else [v_ev]
+        # relative to the start, so that a state that does not move stays exact
+        c1s = [state0.c1 * _exp(x - arc.x0) for x in xs]
+        c2s = [state0.c2 * _exp(v - arc.v0) for v in vs]
+        qs = [p.p1 - p.p2 * x - p.p3 * v for x, v in zip(xs, vs)]
+        return Trajectory(np.array(ts), np.array(c1s), np.array(c2s),
+                          np.array([u] * len(ts)), np.array(qs), event_time=event_time)
+    dt = spec.dt_h
+    n = int(math.floor((t_stop - t0) / dt + 1e-9))
+    ts = t0 + dt * np.arange(n + 1)
+    if t_stop - ts[-1] > 1e-12:
+        ts = np.append(ts, t_stop)
+    else:
+        ts[-1] = t_stop
+    x, v = arc.states(ts, y_hi)
+    if event_time is not None:
+        x[-1], v[-1] = x_ev, v_ev
+    c1s = state0.c1 * np.exp(x - arc.x0)          # relative to the start, as above
     c2s = state0.c2 * np.exp(v - arc.v0)
     qs = p.p1 - p.p2 * x - p.p3 * v
-    return Trajectory(ts, c1s, c2s, np.full_like(ts, u), qs,
-                      event_time=t_stop if event else None)
+    return Trajectory(ts, c1s, c2s, np.full_like(ts, u), qs, event_time=event_time)

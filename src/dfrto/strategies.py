@@ -111,8 +111,8 @@ class StrategyDecision:
 def _plan(p: PlantParams, spec: ProcessSpec) -> tuple[float, float, float]:
     """(t1, u_s, tf) of the clairvoyant plan.  Cached: every strategy of a
     paired batch needs the optimum of the same truth."""
-    plan = plan_vectorized(p.as_array()[None, :], spec)
-    return float(plan["t1"][0]), float(plan["us"][0]), float(plan["tf"][0])
+    plan = plan_vectorized(p.as_array(), spec)      # one plant: Python floats
+    return plan["t1"], plan["us"], plan["tf"]
 
 
 def _dilute_to_target(end: PlantState, spec: ProcessSpec) -> tuple[PlantState, bool]:
@@ -156,9 +156,8 @@ def optimal_strategy(p_true: PlantParams, spec: ProcessSpec, *,
 
 
 def nominal_decision(P0: ParamBox, spec: ProcessSpec) -> StrategyDecision:
-    mid = P0.mid()
-    plan = plan_vectorized(mid.as_array()[None, :], spec)
-    return StrategyDecision(float(plan["t1"][0]), float(plan["us"][0]))
+    plan = plan_vectorized(P0.mid().as_array(), spec)
+    return StrategyDecision(plan["t1"], plan["us"])
 
 
 def nominal_strategy(P0: ParamBox, p_true: PlantParams, spec: ProcessSpec, *,
@@ -318,9 +317,8 @@ class AdaptiveConfig:
 def _cost_variation(box: ParamBox, spec: ProcessSpec) -> float:
     """Worst squared batch-time deviation of box vertices from the mid plant."""
     scen = scenario_points(box.lo_arr(), box.hi_arr(), 0)     # the mid plant last
-    plan = plan_vectorized(scen[-1:], spec)
-    t1_c, u_c = float(plan["t1"][0]), float(plan["us"][0])
-    tf = np.minimum(realized_batch_times(scen, t1_c, u_c, spec), spec.t_max)
+    plan = plan_vectorized(scen[-1], spec)
+    tf = np.minimum(realized_batch_times(scen, plan["t1"], plan["us"], spec), spec.t_max)
     dev = tf - tf[-1]
     return float(np.max(dev * dev))
 
@@ -414,8 +412,8 @@ def adaptive_strategy(P0: ParamBox, p_true: PlantParams, spec: ProcessSpec,
         if reopts >= _MAX_REOPTS:
             break
 
-    mid_plan = plan_vectorized(est.box.mid().as_array()[None, :], spec)
-    t1_commit = max(float(mid_plan["t1"][0]), t_now)
+    mid_plan = plan_vectorized(est.box.mid().as_array(), spec)
+    t1_commit = max(mid_plan["t1"], t_now)
     if t1_commit > t_now:
         y = run_concentrate(t_now, t1_commit, y)
         t_now = t1_commit

@@ -216,3 +216,60 @@ def test_float_kernel_is_bitwise_the_array_kernel(r, ws):
             got = F.inverse(t, y_hi)
             assert got.shape == t.shape
             assert _bits(got) == _bits(F._inverse_array(t, lo, lo + y_hi))
+
+
+def _arc_results(arc, w: float, gap: float) -> list:
+    """Everything an Arc computes for one plant at one point: its constants,
+    ratio_y and ratio_event for a ratio gap, and (u < 1) time_to and at_y at
+    Y = w, y_bound at w arc-time units after t0 and states there."""
+    x0, v0, t0 = float(arc.x0), float(arc.v0), float(arc.t0)
+    ln_rf = (x0 - v0) + gap
+    out = [arc.q0, arc.ratio_y(ln_rf), *arc.ratio_event(ln_rf)]
+    if arc.frozen:
+        return out + [*arc.states(t0 + w, 0.0)]
+    t = t0 + float(arc.T) * w
+    # states brackets with the stall asymptote where r > 0, as integrate does
+    y_hi = 0.0 if arc.r > 0.0 else arc.y_bound(t)
+    out += [arc.k, arc.r, arc.T, arc.time_to(x0 + w), *arc.at_y(w), y_hi]
+    if y_hi < math.inf:
+        out += [*arc.states(t, y_hi)]
+    return out
+
+
+@given(t0=st.floats(0.0, 5.0), x0=st.floats(-1.0, 6.0), v0=st.floats(-5.0, 4.0),
+       u=st.one_of(st.just(0.0), st.floats(0.0, 0.999),
+                   st.sampled_from([arc_mod._U_FROZEN, 1.0])),
+       p2=st.floats(0.5, 5.0), p3=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+       q0=st.one_of(st.floats(-1.0, 10.0), st.sampled_from([0.0, 1e-12, 2e-12])),
+       w=st.one_of(st.just(0.0), st.floats(0.0, 3.0)), gap=st.floats(-1.0, 3.0))
+@example(t0=0.0, x0=math.log(50.0), v0=math.log(50.0), u=0.0, p2=3.0, p3=0.0,
+         q0=11.8, w=0.4, gap=8.0)                      # the concentrate arc, r > 0
+@example(t0=2.5, x0=5.4, v0=3.9, u=0.85, p2=3.0, p3=0.3, q0=2.0, w=0.5,
+         gap=1.0)                                      # r > 0, below the stall
+@example(t0=2.5, x0=5.4, v0=3.9, u=0.95, p2=3.0, p3=0.3, q0=2.0, w=0.3,
+         gap=1.0)                                      # r < 0, c1 bounded by t
+@example(t0=2.5, x0=5.4, v0=3.9, u=0.95, p2=3.0, p3=0.3, q0=2.0, w=2.5,
+         gap=1.0)                                      # r < 0, c1 unbounded by t
+@example(t0=1.0, x0=0.0, v0=0.0, u=0.75, p2=3.0, p3=1.0, q0=2.0, w=0.5,
+         gap=0.5)                                      # k = 3: r = 0 exactly
+@example(t0=1.0, x0=0.0, v0=0.0, u=0.6, p2=3.0, p3=0.3, q0=1e-12, w=0.5,
+         gap=0.5)                                      # at the stall floor
+@example(t0=1.0, x0=0.0, v0=0.0, u=0.6, p2=3.0, p3=0.3, q0=0.0, w=0.5,
+         gap=0.5)                                      # zero flux: r, T infinite
+@example(t0=2.5, x0=5.4, v0=3.9, u=1.0, p2=3.0, p3=0.3, q0=2.0, w=0.2,
+         gap=1.0)                                      # the u = 1 wash
+@example(t0=2.5, x0=5.4, v0=3.9, u=1.0, p2=3.0, p3=0.0, q0=2.0, w=0.2,
+         gap=-0.5)                                     # u = 1, p3 = 0, ratio met
+def test_float_arc_is_bitwise_the_array_arc(t0, x0, v0, u, p2, p3, q0, w, gap):
+    """An Arc of scalar plant inputs runs in Python floats; the same arc of
+    0-d arrays runs the array form.  Every constant and every result at one
+    point must have the same bits, and the float path returns Python floats."""
+    p1 = q0 + p2 * x0 + p3 * v0
+    args = (t0, x0, v0, u, p1, p2, p3)
+    scalar = Arc(*args, 1000.0)
+    array = Arc(*(np.asarray(a) for a in args), 1000.0)
+    assert scalar.scalar and not array.scalar
+    got = _arc_results(scalar, w, gap)
+    want = _arc_results(array, w, gap)
+    assert all(type(g) is float for g in got)
+    assert len(got) == len(want) and _bits(got) == _bits(want)

@@ -185,6 +185,16 @@ def test_negative_seed_is_config_error(capsys, argv):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["reach"], ["montecarlo", "--n", "1"]],
+                         ids=["reach", "montecarlo"])
+def test_unsupported_structure_exits_2_naming_the_plant(capsys, argv):
+    """The +-20 % prior box holds plants that start below the singular surface
+    (p1 lo 16.04, p2 hi 3.6): a configuration the model cannot run."""
+    assert run(argv + ["--uncertainty", "0.2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "singular surface for p=[16.04" in err
+
+
 def test_empty_strategies_is_config_error(capsys):
     assert run(["montecarlo", "--n", "1", "--strategies", ""]) == 2
     assert "no strategies" in capsys.readouterr().err

@@ -119,6 +119,35 @@ def test_monte_carlo_reproducible(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("case", ["limiting_flux", "generalized"])
+def test_shorter_sweep_is_a_byte_prefix(tmp_path, case):
+    """Batch i depends only on (master seed, i), so at one master seed the
+    results CSV of 3 batches is a byte prefix of the CSV of 12 batches, for
+    all four strategies.  The benchmark's recheck relies on this."""
+    blobs = []
+    for n in (3, 12):
+        out = tmp_path / f"{n}.csv"
+        monte_carlo(ExperimentConfig(case=case, n_batches=n, master_seed=31,
+                                     out_path=str(out)))
+        blobs.append(out.read_bytes())
+    short, full = blobs
+    assert short.count(b"\n") == 1 + 3 * 4 and full.count(b"\n") == 1 + 12 * 4
+    assert full.startswith(short)
+    assert {r["strategy"] for r in read_results_csv(str(tmp_path / "3.csv"))} \
+        == set(harness.STRATEGIES)
+
+
+def test_batch_seed_truth_and_noise_come_from_one_seed_sequence():
+    """The CSV seed of batch i is the first word of SeedSequence((master seed,
+    i)); its truth and noise generators are seeded by that sequence's two
+    spawned children."""
+    seed, truth, noise = harness._batch_seeds(31, 4)
+    ss = np.random.SeedSequence((31, 4))
+    assert seed == int(ss.generate_state(1)[0])
+    for got, want in zip((truth, noise), ss.spawn(2)):
+        assert got.generate_state(4).tolist() == want.generate_state(4).tolist()
+
+
 def test_summary_pure_function_of_csv(tmp_path):
     out = tmp_path / "r.csv"
     cfg = ExperimentConfig(case="limiting_flux", n_batches=2, master_seed=9,

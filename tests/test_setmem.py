@@ -652,7 +652,7 @@ def test_write_boxes_csv_matches_per_line_format(tmp_path):
 def full_batch():
     """Noisy flux samples of one optimal generalized-case batch (~3e4 rows)."""
     spec, case = ProcessSpec(), get_case("generalized")
-    p = case.draw_truth_gamma(np.random.default_rng(5), spec=spec)
+    p = case.draw_truth_gamma(np.random.default_rng(5), 0.10, spec)
     traj = optimal_strategy(p, spec, record=True).trajectory
     keep = np.isfinite(traj.u)          # drops the dilution end point
     keep[0] = False                     # and the initial state

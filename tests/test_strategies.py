@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dfrto.cases import get_case
-from dfrto.harness import ExperimentConfig, _batch_rngs, monte_carlo
+from dfrto.harness import ExperimentConfig, _batch_seeds, monte_carlo
 from dfrto.policy import compute_switch_times, plan_vectorized, singular_control
 from dfrto.process import (TOL_EVENT, PlantParams, PlantState, ProcessSpec,
                            StopCondition, integrate)
@@ -257,9 +257,10 @@ def test_adaptive_segments_follow_their_recorded_control(spec, case2):
     at 256 samples, which once recorded that block under the new control."""
     P0 = case2.prior_box(spec)
     for i in (16, 23):
-        truth_rng, noise_rng = _batch_rngs(11000, i)
-        p_true = case2.draw_truth_gamma(truth_rng, 0.10, spec)
-        traj = adaptive_strategy(P0, p_true, spec, NoiseStream(noise_rng, spec.sigma),
+        _, truth, noise = _batch_seeds(11000, i)
+        p_true = case2.draw_truth_gamma(np.random.default_rng(truth), 0.10, spec)
+        traj = adaptive_strategy(P0, p_true, spec,
+                                 NoiseStream(np.random.default_rng(noise), spec.sigma),
                                  record=True).trajectory
         u = traj.u
         cuts = np.flatnonzero(np.diff(u) != 0.0) + 1
