@@ -19,7 +19,11 @@ with beta = p3*c1/m after a time s, so states and event times are explicit.
 
 Every routine broadcasts over numpy arrays: one arc per parameter row
 (realized_batch_times) or one arc at many sample times (the adaptive loop and
-process.integrate).
+`integrate`).
+
+`integrate` lives here, not in dfrto.process, so that the estimator and the
+CLI, which import dfrto.process, load no scipy; a call-time import would cost
+it ~0.8 us a call (2-vCPU Xeon, Python 3.11).
 
 One plant at a few points is mostly numpy call overhead: a Halley pass over
 two points costs 35 to 70 numpy calls, and each np.where or np.errstate on a
@@ -30,7 +34,7 @@ in Python floats too, and the shape of the inputs selects it:
   - `Arc` takes it when every plant input (t0, x0, v0, u, p1, p2, p3) is a
     scalar: it then holds Python floats, and `time_to`, `at_y`, `ratio_y`,
     `ratio_event`, `y_bound` and `states` at one time return Python floats
-    (the stop of a `process.integrate` arc, the t1 of a one-plant plan).
+    (the stop of an `integrate` arc, the t1 of a one-plant plan).
     With an array argument (a block of sample times) they take the array
     form.
 Parameter rows and sample blocks stay on the array form.  The float path
@@ -60,6 +64,9 @@ import math
 
 import numpy as np
 from scipy.special import expi, exprel
+
+from .errors import ConfigError, DomainError, SimulationTimeout, StallError
+from .process import PlantParams, PlantState, ProcessSpec, StopCondition, Trajectory
 
 _Q_FLOOR = 1e-12          # flux at or below this counts as stalled
 _U_FROZEN = 1.0 - 1e-12   # controls at or above this run the u = 1 arc
@@ -419,3 +426,84 @@ class Arc:
             hi = 1.0 / r if r > 0.0 else y_hi
             Y = self._F._inverse_floats([_div(s, self.T)], [0.0 + hi])[0]
         return self.x0 + Y, self.v0 - self.k * Y
+
+
+def integrate(state0: PlantState, u: float, p: PlantParams, stop: StopCondition,
+              spec: ProcessSpec, *, record: bool = True) -> Trajectory:
+    """Run the plant under a constant control u in [0, 1] until `stop`.
+
+    The arc is propagated in closed form by `Arc`.  The returned trajectory
+    holds the start and the stop point, or (when `record`) the dt_sample grid
+    from the start plus the exact stop point.  A ratio stop that already holds
+    at the start stops there.
+
+    Raises SimulationTimeout if the stop lies beyond t_max or is never reached
+    (a ratio behind the flux stall, a time after c1 has grown without bound)
+    and StallError if the flux is not positive at the start of a concentrating
+    arc (u < 1).
+    """
+    u = float(u)
+    if not 0.0 <= u <= 1.0:
+        raise DomainError(f"control ratio u must lie in [0, 1], got {u}")
+    t0 = state0.t
+    # scalar inputs: the arc's constants and its stop are Python floats
+    arc = Arc(t0, math.log(state0.c1), math.log(state0.c2), u,
+              p.p1, p.p2, p.p3, spec.mass)
+    q0 = arc.q0
+    if u < 1.0 and q0 <= 0.0:
+        raise StallError(
+            f"flux nonpositive at the start of a concentrating arc (t={t0:.4f} h)")
+
+    if stop.kind == "time":
+        if stop.value < t0 - 1e-15:
+            raise ConfigError(f"stop time {stop.value} precedes state time {t0}")
+        if stop.value > spec.t_max:
+            raise SimulationTimeout(
+                f"stop time {stop.value} h exceeds t_max {spec.t_max} h")
+        t_stop = stop.value
+        if t_stop <= t0 + 1e-15:
+            return Trajectory(np.array([t0]), np.array([state0.c1]),
+                              np.array([state0.c2]), np.array([u]), np.array([q0]))
+        # states brackets with the stall asymptote 1/r where r > 0
+        y_hi = 0.0 if arc.frozen or arc.r > 0.0 else arc.y_bound(t_stop)
+        if not y_hi < math.inf:
+            raise SimulationTimeout(
+                f"c1 grows without bound before t={t_stop} h on this arc")
+    else:
+        t_stop, x_ev, v_ev = arc.ratio_event(math.log(stop.value))
+        if not t_stop <= spec.t_max:
+            raise SimulationTimeout(
+                f"stop condition {stop.kind!r} not reached by t_max={spec.t_max} h")
+        y_hi = x_ev - arc.x0
+
+    event_time = t_stop if stop.kind != "time" else None
+    if not record:
+        # The start and the stop only, in Python floats.  The start state is
+        # exact: in a states() call it sits at Y = 0 and converges on the first
+        # Halley pass, so solving for the stop alone gives the same bits.
+        if event_time is None:
+            x_ev, v_ev = arc.states(t_stop, y_hi)
+        moved = t_stop > t0
+        ts = [t0, t_stop] if moved else [t0]
+        xs = [arc.x0, x_ev] if moved else [x_ev]
+        vs = [arc.v0, v_ev] if moved else [v_ev]
+        # relative to the start, so that a state that does not move stays exact
+        c1s = [state0.c1 * _exp(x - arc.x0) for x in xs]
+        c2s = [state0.c2 * _exp(v - arc.v0) for v in vs]
+        qs = [p.p1 - p.p2 * x - p.p3 * v for x, v in zip(xs, vs)]
+        return Trajectory(np.array(ts), np.array(c1s), np.array(c2s),
+                          np.array([u] * len(ts)), np.array(qs), event_time=event_time)
+    dt = spec.dt_h
+    n = int(math.floor((t_stop - t0) / dt + 1e-9))
+    ts = t0 + dt * np.arange(n + 1)
+    if t_stop - ts[-1] > 1e-12:
+        ts = np.append(ts, t_stop)
+    else:
+        ts[-1] = t_stop
+    x, v = arc.states(ts, y_hi)
+    if event_time is not None:
+        x[-1], v[-1] = x_ev, v_ev
+    c1s = state0.c1 * np.exp(x - arc.x0)          # relative to the start, as above
+    c2s = state0.c2 * np.exp(v - arc.v0)
+    qs = p.p1 - p.p2 * x - p.p3 * v
+    return Trajectory(ts, c1s, c2s, np.full_like(ts, u), qs, event_time=event_time)

@@ -18,6 +18,8 @@ from .process import GAMMA1_UNIT_SCALE, PlantParams, ProcessSpec
 from .setmem import ParamBox, scenario_points
 
 UNCERTAINTY_PCT_DEFAULT = 0.10
+# the closed-loop strategies: the default set and order of a paired batch
+STRATEGIES = ("optimal", "nominal", "robust", "adaptive")
 # interior Latin-hypercube points of the robust scenario set, and their seed
 _N_LHS = 16
 _LHS_SEED = 2718

@@ -3,7 +3,8 @@
 Subcommands: simulate, estimate, reach, montecarlo, summarize.
 Exit codes: 0 success, 2 configuration error (including a prior box or
 truth that starts outside the concentrate/singular/dilute structure),
-3 model invalidated, 4 timeout or flux stall.
+3 model invalidated, 4 timeout or flux stall.  Each subcommand imports the
+layers it runs, so `estimate` loads no scipy.
 """
 
 from __future__ import annotations
@@ -14,17 +15,12 @@ import sys
 
 import numpy as np
 
-from .cases import UNCERTAINTY_PCT_DEFAULT, get_case
+from .cases import STRATEGIES, UNCERTAINTY_PCT_DEFAULT, get_case
 from .errors import (ConfigError, DfrtoError, ModelInvalidatedError,
                      SimulationTimeout, StallError, UnsupportedStructureError)
-from .harness import (ExperimentConfig, STRATEGIES, _batch_seeds, monte_carlo,
-                      read_results_csv, summarize)
 from .process import ProcessSpec
-from .reach import project_switch_windows
 from .setmem import (OnlineBoxEstimator, ParamBox, read_measurements_csv,
                      write_boxes_csv)
-from .strategies import (NoiseStream, adaptive_strategy, nominal_strategy,
-                         optimal_strategy, robust_strategy)
 
 
 def _load_spec(path: str | None) -> ProcessSpec:
@@ -32,6 +28,10 @@ def _load_spec(path: str | None) -> ProcessSpec:
 
 
 def _cmd_simulate(args) -> int:
+    from .harness import _batch_seeds
+    from .strategies import (NoiseStream, adaptive_strategy, nominal_strategy,
+                             optimal_strategy, robust_strategy)
+
     spec = _load_spec(args.config)
     case = get_case(args.case)
     P0 = case.prior_box(spec, args.uncertainty)
@@ -85,6 +85,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_reach(args) -> int:
+    from .reach import project_switch_windows
     spec = _load_spec(args.config)
     if args.box:
         box = ParamBox.from_json(args.box)
@@ -97,6 +98,7 @@ def _cmd_reach(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
+    from .harness import ExperimentConfig, monte_carlo, summarize
     strategies = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
     cfg = ExperimentConfig(case=args.case, n_batches=args.n, master_seed=args.seed,
                            uncertainty_pct=args.uncertainty, strategies=strategies,
@@ -108,6 +110,7 @@ def _cmd_montecarlo(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
+    from .harness import read_results_csv, summarize
     rows = read_results_csv(args.input)
     stats = summarize(rows)
     if args.out:

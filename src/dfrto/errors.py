@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and `open_output`."""
 
 
 class DfrtoError(Exception):
@@ -35,3 +35,11 @@ class ModelInvalidatedError(DfrtoError):
 
 class InfeasibleLPError(DfrtoError):
     """Linear program has an empty feasible region."""
+
+
+def open_output(path: str):
+    """open(path, "w"); an OSError raises as a ConfigError naming the path."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc

@@ -15,15 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cases import UNCERTAINTY_PCT_DEFAULT, get_case
-from .errors import ConfigError, DfrtoError
+from .cases import STRATEGIES, UNCERTAINTY_PCT_DEFAULT, get_case
+from .errors import ConfigError, DfrtoError, open_output
 from .process import PlantParams, ProcessSpec
 from .setmem import ParamBox
 from .strategies import (BatchResult, NoiseStream, RobustConfig,
                          adaptive_strategy, nominal_decision, nominal_strategy,
                          optimal_strategy, robust_decision, robust_strategy)
-
-STRATEGIES = ("optimal", "nominal", "robust", "adaptive")
 
 RESULT_COLUMNS = ("batch_id", "strategy", "seed", "p1", "p2", "p3",
                   "t1", "t2", "tf", "regret", "feasible", "reopt_count")
@@ -111,7 +109,7 @@ def monte_carlo(cfg: ExperimentConfig, spec: ProcessSpec | None = None,
         scen = case.gamma_scenarios(spec, cfg.uncertainty_pct)
         decisions["robust"] = robust_decision(P0, spec, RobustConfig(), scenarios=scen)
     results: list[BatchResult] = []
-    sink = open(cfg.out_path, "w") if cfg.out_path else None
+    sink = open_output(cfg.out_path) if cfg.out_path else None
     try:
         if sink:
             sink.write(",".join(RESULT_COLUMNS) + "\n")
@@ -220,7 +218,7 @@ class SummaryStats:
         raise KeyError((strategy, metric))
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
+        with open_output(path) as fh:
             fh.write("strategy,metric,n,n_failed,median,q25,q75,"
                      "whisker_lo,whisker_hi,n_outliers,min,max\n")
             for r in self.rows:

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arc import Arc
+from .arc import integrate  # noqa: F401  (perfbench/tracing.py wraps policy.integrate)
 from .errors import ConfigError, DegenerateModelError, UnsupportedStructureError
 from .process import PlantParams, PlantState, ProcessSpec, flux
-from .process import integrate  # noqa: F401  (perfbench/tracing.py wraps policy.integrate)
 
 
 @dataclass(frozen=True)

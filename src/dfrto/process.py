@@ -5,10 +5,10 @@ States are the macro-solute concentration c1 and micro-solute concentration c2
 conserved, V(t) = c1_0*V0/c1(t).  All times are hours internally; the sampling
 period is configured in seconds.
 
-`integrate` runs the plant along a constant-control arc in closed form
-(dfrto.arc): states on the sampling grid and the stop (a time or the terminal
-ratio) come from explicit expressions, with no step size or event tolerance.
-The test suite keeps an independent ODE integrator as the cross-check.
+The stop conditions and trajectories of `dfrto.arc.integrate` live here too.
+`integrate` itself lives next to `Arc` in dfrto.arc, which imports scipy.special,
+so that this module, and the estimator and CLI parts built on it, import without
+scipy.  The test suite keeps an independent ODE integrator as the cross-check.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .arc import Arc, _exp
-from .errors import ConfigError, DomainError, SimulationTimeout, StallError
+from .errors import ConfigError, DomainError, open_output
 
 # Flux prefactor calibration: the reported mass-transfer coefficient with A in
 # m^2 yields A*gamma1 = 0.03 L/h, which puts batch times at hundreds of hours.
@@ -183,12 +182,12 @@ def dilute(state: PlantState, c1_target: float) -> PlantState:
     return PlantState(state.t, c1_target, state.c2 * factor)
 
 
-# --- stop conditions & integration ------------------------------------------
+# --- stop conditions & trajectories ------------------------------------------
 
 @dataclass(frozen=True)
 class StopCondition:
-    """Arc termination criterion for :func:`integrate`: a time, or the ratio
-    c1/c2 reaching a value."""
+    """Arc termination criterion for :func:`dfrto.arc.integrate`: a time, or
+    the ratio c1/c2 reaching a value."""
 
     kind: str
     value: float = math.nan
@@ -238,90 +237,9 @@ class Trajectory:
         )
 
     def write_csv(self, path: str, spec: ProcessSpec) -> None:
-        with open(path, "w") as fh:
+        with open_output(path) as fh:
             fh.write("t,c1,c2,V,u,q\n")
             V = spec.mass / self.c1
             for i in range(self.t.size):
                 fh.write(f"{self.t[i]:.10g},{self.c1[i]:.10g},{self.c2[i]:.10g},"
                          f"{V[i]:.10g},{self.u[i]:.10g},{self.q[i]:.10g}\n")
-
-
-def integrate(state0: PlantState, u: float, p: PlantParams, stop: StopCondition,
-              spec: ProcessSpec, *, record: bool = True) -> Trajectory:
-    """Run the plant under a constant control u in [0, 1] until `stop`.
-
-    The arc is propagated in closed form (dfrto.arc).  The returned trajectory
-    holds the start and the stop point, or (when `record`) the dt_sample grid
-    from the start plus the exact stop point.  A ratio stop that already holds
-    at the start stops there.
-
-    Raises SimulationTimeout if the stop lies beyond t_max or is never reached
-    (a ratio behind the flux stall, a time after c1 has grown without bound)
-    and StallError if the flux is not positive at the start of a concentrating
-    arc (u < 1).
-    """
-    u = float(u)
-    if not 0.0 <= u <= 1.0:
-        raise DomainError(f"control ratio u must lie in [0, 1], got {u}")
-    t0 = state0.t
-    # scalar inputs: the arc's constants and its stop are Python floats
-    arc = Arc(t0, math.log(state0.c1), math.log(state0.c2), u,
-              p.p1, p.p2, p.p3, spec.mass)
-    q0 = arc.q0
-    if u < 1.0 and q0 <= 0.0:
-        raise StallError(
-            f"flux nonpositive at the start of a concentrating arc (t={t0:.4f} h)")
-
-    if stop.kind == "time":
-        if stop.value < t0 - 1e-15:
-            raise ConfigError(f"stop time {stop.value} precedes state time {t0}")
-        if stop.value > spec.t_max:
-            raise SimulationTimeout(
-                f"stop time {stop.value} h exceeds t_max {spec.t_max} h")
-        t_stop = stop.value
-        if t_stop <= t0 + 1e-15:
-            return Trajectory(np.array([t0]), np.array([state0.c1]),
-                              np.array([state0.c2]), np.array([u]), np.array([q0]))
-        # states brackets with the stall asymptote 1/r where r > 0
-        y_hi = 0.0 if arc.frozen or arc.r > 0.0 else arc.y_bound(t_stop)
-        if not y_hi < math.inf:
-            raise SimulationTimeout(
-                f"c1 grows without bound before t={t_stop} h on this arc")
-    else:
-        t_stop, x_ev, v_ev = arc.ratio_event(math.log(stop.value))
-        if not t_stop <= spec.t_max:
-            raise SimulationTimeout(
-                f"stop condition {stop.kind!r} not reached by t_max={spec.t_max} h")
-        y_hi = x_ev - arc.x0
-
-    event_time = t_stop if stop.kind != "time" else None
-    if not record:
-        # The start and the stop only, in Python floats.  The start state is
-        # exact: in a states() call it sits at Y = 0 and converges on the first
-        # Halley pass, so solving for the stop alone gives the same bits.
-        if event_time is None:
-            x_ev, v_ev = arc.states(t_stop, y_hi)
-        moved = t_stop > t0
-        ts = [t0, t_stop] if moved else [t0]
-        xs = [arc.x0, x_ev] if moved else [x_ev]
-        vs = [arc.v0, v_ev] if moved else [v_ev]
-        # relative to the start, so that a state that does not move stays exact
-        c1s = [state0.c1 * _exp(x - arc.x0) for x in xs]
-        c2s = [state0.c2 * _exp(v - arc.v0) for v in vs]
-        qs = [p.p1 - p.p2 * x - p.p3 * v for x, v in zip(xs, vs)]
-        return Trajectory(np.array(ts), np.array(c1s), np.array(c2s),
-                          np.array([u] * len(ts)), np.array(qs), event_time=event_time)
-    dt = spec.dt_h
-    n = int(math.floor((t_stop - t0) / dt + 1e-9))
-    ts = t0 + dt * np.arange(n + 1)
-    if t_stop - ts[-1] > 1e-12:
-        ts = np.append(ts, t_stop)
-    else:
-        ts[-1] = t_stop
-    x, v = arc.states(ts, y_hi)
-    if event_time is not None:
-        x[-1], v[-1] = x_ev, v_ev
-    c1s = state0.c1 * np.exp(x - arc.x0)          # relative to the start, as above
-    c2s = state0.c2 * np.exp(v - arc.v0)
-    qs = p.p1 - p.p2 * x - p.p3 * v
-    return Trajectory(ts, c1s, c2s, np.full_like(ts, u), qs, event_time=event_time)

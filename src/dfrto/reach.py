@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateModelError
+from .errors import ConfigError, DegenerateModelError, open_output
 from .policy import plan_vectorized
 from .process import TOL_EVENT, ProcessSpec
 from .setmem import ParamBox, scenario_points
@@ -47,7 +47,7 @@ class SwitchWindows:
                    "tf": list(self.tf), "us": list(self.u_band)}
         text = json.dumps(payload, indent=2) + "\n"
         if path is not None:
-            with open(path, "w") as fh:
+            with open_output(path) as fh:
                 fh.write(text)
         return text
 

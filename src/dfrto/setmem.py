@@ -34,7 +34,7 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import (ConfigError, DomainError, InfeasibleLPError,
-                     ModelInvalidatedError)
+                     ModelInvalidatedError, open_output)
 from .process import GAMMA1_UNIT_SCALE, Measurement, PlantParams
 
 _LP_TOL = 1e-9
@@ -707,8 +707,8 @@ class OnlineBoxEstimator:
 def read_measurements_csv(path: str) -> list[Measurement]:
     """Measurements of a CSV with header t,q_m,c1,c2, parsed in one pass.
 
-    Blank lines are skipped; a row that is not four finite numbers raises
-    ConfigError naming its line.
+    Blank lines are skipped; a row that is not four finite numbers with
+    positive concentrations c1, c2 raises ConfigError naming its line.
     """
     try:
         fh = open(path)
@@ -727,13 +727,15 @@ def read_measurements_csv(path: str) -> list[Measurement]:
                               comments=None, ndmin=2)
         except ValueError:
             data = None
-    if data is None or data.shape[1] != 4 or not np.isfinite(data).all():
+    if (data is None or data.shape[1] != 4 or not np.isfinite(data).all()
+            or not (data[:, 2:] > 0.0).all()):
         _raise_bad_row(path)
     return list(map(Measurement, *data.T.tolist()))
 
 
 def _raise_bad_row(path: str) -> NoReturn:
-    """ConfigError for the first data line that is not four finite numbers."""
+    """ConfigError for the first data line that is not four finite numbers
+    with c1, c2 > 0."""
     with open(path) as fh:
         fh.readline()
         for lineno, line in enumerate(fh, start=2):
@@ -743,16 +745,17 @@ def _raise_bad_row(path: str) -> NoReturn:
                 values = np.loadtxt([line], delimiter=",", comments=None)
             except ValueError:
                 values = None
-            if values is None or values.size != 4 or not np.isfinite(values).all():
+            if (values is None or values.size != 4 or not np.isfinite(values).all()
+                    or not (values[2:] > 0.0).all()):
                 raise ConfigError(f"{path}:{lineno}: expected four finite numbers "
-                                  f"t,q_m,c1,c2, got {line.rstrip()!r}")
+                                  f"t,q_m,c1,c2 with c1, c2 > 0, got {line.rstrip()!r}")
     raise ConfigError(f"malformed measurement file {path!r}")
 
 
 def write_boxes_csv(path: str, times, boxes) -> None:
     """One row per time; a box shared by consecutive rows is formatted once."""
     last = tail = None
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         fh.write("t,p1_lo,p1_hi,p2_lo,p2_hi,p3_lo,p3_hi\n")
         for t, box in zip(times, boxes):
             if box is not last:

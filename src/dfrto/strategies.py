@@ -16,8 +16,10 @@ one Arc per singular control: its ratio event comes once from the exact
 expression and its states at the sampling instants from vectorized solves
 over blocks of samples, until a box update moves the control, so no step size
 or event tolerance is involved.  realized_batch_times evaluates committed
-decisions with the same arc formulas, and so does process.integrate, which
-runs the committed decisions of the open-loop strategies.
+decisions with the same arc formulas, and so does arc.integrate, which runs
+the committed decisions of the open-loop strategies.  Only the adaptive
+concentrate phase still solves an ODE; `solve_ivp` imports scipy.integrate
+(about 0.2 s) on its first call, so a process with no adaptive batch never does.
 """
 
 from __future__ import annotations
@@ -27,15 +29,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .arc import _U_FROZEN, Arc
+from .arc import _U_FROZEN, Arc, integrate
 from .errors import ConfigError, SimulationTimeout
 from .policy import plan_vectorized, singular_control
 from .process import (PlantParams, PlantState, ProcessSpec, StopCondition,
-                      Trajectory, dilute, flux, integrate)
+                      Trajectory, dilute, flux)
 from .reach import project_switch_windows
 from .setmem import OnlineBoxEstimator, ParamBox, scenario_points
+
+
+def solve_ivp(*args, **kw):
+    """scipy.integrate.solve_ivp, imported on the first call."""
+    from scipy.integrate import solve_ivp
+    return solve_ivp(*args, **kw)
+
 
 # --- closed-form evaluation of a committed decision -----------------------------
 

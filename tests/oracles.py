@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from dfrto.arc import integrate
 from dfrto.errors import ConfigError
 from dfrto.policy import PolicyParams, singular_control
 from dfrto.process import (PlantParams, PlantState, ProcessSpec, StopCondition,
-                           Trajectory, dilute, flux, integrate)
+                           Trajectory, dilute, flux)
 from dfrto.setmem import ParamBox
 
 DILUTE = math.inf  # control value standing for the instantaneous-dilution mode

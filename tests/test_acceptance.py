@@ -11,10 +11,11 @@ import time
 import numpy as np
 import pytest
 
+from dfrto.arc import integrate
 from dfrto.cases import get_case
 from dfrto.harness import ExperimentConfig, monte_carlo, results_to_rows
 from dfrto.policy import compute_switch_times, plan_vectorized, singular_control
-from dfrto.process import (TOL_EVENT, ProcessSpec, StopCondition, integrate)
+from dfrto.process import TOL_EVENT, ProcessSpec, StopCondition
 from dfrto.reach import project_switch_windows, project_u_band
 from dfrto.setmem import OnlineBoxEstimator, ParamBox
 from dfrto.strategies import (AdaptiveConfig, NoiseStream, adaptive_strategy,

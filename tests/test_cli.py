@@ -98,7 +98,8 @@ def test_estimate_model_invalidated(tmp_path):
     ("0,abc,50,50", 2, "bad.csv:4:"),
     ("0,4.2,50", 2, "bad.csv:4:"),
     ("0,nan,50,50", 2, "bad.csv:4:"),
-    ("0,4.2,0,50", 1, "concentrations must be positive"),
+    ("0,4.2,0,50", 2, "bad.csv:4:"),
+    ("0,4.2,50,-1", 2, "c1, c2 > 0"),
 ])
 def test_estimate_bad_row_is_typed(tmp_path, capsys, row, rc, message):
     src = tmp_path / "bad.csv"
@@ -237,6 +238,26 @@ def test_param_box_rejects_non_finite_bounds():
 def test_summarize_missing_input_is_config_error(tmp_path, capsys):
     assert run(["summarize", "--input", str(tmp_path / "none.csv")]) == 2
     assert "none.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["montecarlo", "--n", "1", "--strategies", "optimal"],
+    ["simulate", "--strategy", "optimal"],
+    ["estimate", "--input", "{meas}"],
+    ["reach"],
+    ["summarize", "--input", "{results}"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_is_config_error(tmp_path, capsys, argv):
+    meas = tmp_path / "m.csv"
+    meas.write_text("t,q_m,c1,c2\n0,9.0,50,50\n")
+    results = tmp_path / "mc.csv"
+    assert run(["montecarlo", "--n", "1", "--strategies", "optimal",
+                "--out", str(results)]) == 0
+    capsys.readouterr()
+    bad = str(tmp_path / "missing" / "out.csv")
+    argv = [a.format(meas=meas, results=results) for a in argv]
+    assert run(argv + ["--out", bad]) == 2
+    assert f"config error: cannot write {bad}: " in capsys.readouterr().err
 
 
 def test_summarize_short_row_is_config_error(tmp_path, capsys):

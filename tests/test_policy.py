@@ -6,10 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dfrto.errors import ConfigError, UnsupportedStructureError
+from dfrto.arc import integrate
 from dfrto.policy import (compute_switch_times, plan_vectorized, singular_control,
                           switching_function)
-from dfrto.process import (PlantParams, PlantState, ProcessSpec, StopCondition,
-                           integrate)
+from dfrto.process import PlantParams, PlantState, ProcessSpec, StopCondition
 from oracles import (arcs_from_policy, evaluate_policy, ode_integrate,
                      rk4_event_time, scaled, simulate_policy)
 

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dfrto.arc import integrate
 from dfrto.errors import ConfigError, DomainError, SimulationTimeout, StallError
 from dfrto.process import (GAMMA1_UNIT_SCALE, PlantParams, PlantState, ProcessSpec,
-                           StopCondition, Trajectory, dilute, flux, integrate)
+                           StopCondition, Trajectory, dilute, flux)
 from dfrto.policy import compute_switch_times, singular_control
 from dfrto.strategies import NoiseStream, _rhs_factory
 from oracles import ode_integrate, rk4_integrate

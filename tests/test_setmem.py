@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from dfrto.arc import integrate
 from dfrto.cases import get_case
 from dfrto.errors import (ConfigError, DomainError, InfeasibleLPError,
                           ModelInvalidatedError)
-from dfrto.process import Measurement, ProcessSpec, StopCondition, integrate
+from dfrto.process import Measurement, ProcessSpec, StopCondition
 from dfrto.setmem import (OnlineBoxEstimator, ParamBox, _WarmBoundLP,
                           read_measurements_csv, scenario_points, write_boxes_csv)
 from dfrto.strategies import optimal_strategy
@@ -615,7 +616,8 @@ def test_measurement_csv_exact_and_blank_lines(tmp_path):
     assert ms == expect
 
 
-@pytest.mark.parametrize("row", ["0,4.2,50,50,1", "0,4.2,inf,50", "0,4.2,5_0,50"])
+@pytest.mark.parametrize("row", ["0,4.2,50,50,1", "0,4.2,inf,50", "0,4.2,5_0,50",
+                                 "0,4.2,0,50", "0,4.2,50,-0.5"])
 def test_measurement_csv_bad_row_names_line(tmp_path, row):
     # tests/test_cli.py covers text, short rows and NaN through `dfrto estimate`
     path = tmp_path / "m.csv"

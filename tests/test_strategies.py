@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from dfrto.arc import integrate
 from dfrto.cases import get_case
 from dfrto.harness import ExperimentConfig, _batch_seeds, monte_carlo
 from dfrto.policy import compute_switch_times, plan_vectorized, singular_control
 from dfrto.process import (TOL_EVENT, PlantParams, PlantState, ProcessSpec,
-                           StopCondition, integrate)
+                           StopCondition)
 from dfrto.setmem import ParamBox, scenario_points
 from dfrto.strategies import (AdaptiveConfig, NoiseStream, RobustConfig,
                               StrategyDecision, adaptive_strategy,
@@ -251,7 +252,7 @@ def test_adaptive_noise_stream_replay(spec, case1):
 def test_adaptive_segments_follow_their_recorded_control(spec, case2):
     """Every singular-arc segment of a recorded adaptive trajectory is the
     plant under its recorded u: re-propagating it from its first sample with
-    process.integrate reproduces each later sample, across every block of
+    arc.integrate reproduces each later sample, across every block of
     states computed under that control.  Batches 16 and 23 of master seed
     11000 refresh the control on the last sample of a block when blocks start
     at 256 samples, which once recorded that block under the new control."""
