@@ -85,6 +85,9 @@ _INF, _NAN = float("inf"), float("nan")
 _SCALAR = (float, int)
 # np.exp and np.expm1 overflow above ln(DBL_MAX) = 709.78
 _EXP_MAX = 709.0
+# Arc.state_bounds pads Y by this fraction of (1 + Ybar): five orders above the
+# rounding and the Halley stop (last step below 1e-14*(1 + Y), F noise a few ulps)
+_Y_PAD = 1e-10
 
 
 def _call(f, x: float, safe: bool) -> float:
@@ -426,6 +429,38 @@ class Arc:
             hi = 1.0 / r if r > 0.0 else y_hi
             Y = self._F._inverse_floats([_div(s, self.T)], [0.0 + hi])[0]
         return self.x0 + Y, self.v0 - self.k * Y
+
+    def state_bounds(self, t, y_hi):
+        """(x_lo, x_hi, v_lo, v_hi) around states(t, y_hi) of a float-path arc
+        at sorted times t, without a Halley pass; y_hi bounds Y at every t.
+
+        Y0 = -log1p(-tau), tau = (t - t0)/T, is the r = 0 inverse.  F(Y, r) -
+        F(Y, 0) = integral_0^Y e^(-y)*r*y/(1 - r*y) dy has the sign of r and
+        size at most |r|*Yt^2/(2*(1 - max(r, 0)*Yt)) for Yt >= Y; as F(., 0)'
+        = e^(-y), Y lies within e^Yt times that of Y0 for Yt >= Y, Y0: below Y0
+        for r > 0 (Yt = Y0), above it for r < 0 (Yt = Y0 plus the bound at
+        Ybar = max(y_hi, last Y0)).  _Y_PAD covers rounding and the Halley stop,
+        and x = x0 + Y, v = v0 - k*Y round monotonically.  Past r*Ybar >= 1 it
+        pads this call's Halley results; frozen and stalled arcs are exact."""
+        t = np.asarray(t, dtype=float)
+        if self.frozen or not self.q0 > _Q_FLOOR or not t.size:
+            x, v = self.states(t, y_hi)     # elementwise: the same bits at any subset
+            return x, x, v, v
+        r = self.r
+        with np.errstate(all="ignore"):
+            y0 = -np.log1p(-((t - self.t0) / self.T))
+        y_bar = float(np.maximum(y_hi, y0[-1]))           # NaN stays NaN
+        if r * y_bar < 1.0 and y_bar < _EXP_MAX / 2.0:
+            c = 0.5 * abs(r) / (1.0 - max(r, 0.0) * y_bar)
+            y_top = y0 + _exp(y_bar) * c * y_bar * y_bar if r < 0.0 else y0
+            pad = _Y_PAD * (1.0 + y_bar)
+            rad = np.exp(y_top) * y_top * y_top * c + pad
+            y_lo, y_up = y0 - (rad if r > 0.0 else pad), y0 + (rad if r < 0.0 else pad)
+        else:       # no bound short of the stall: the Halley results, padded
+            y0 = self.states(t, y_hi)[0] - self.x0
+            y_lo, y_up = y0 - _Y_PAD * (1.0 + y0), y0 + _Y_PAD * (1.0 + y0)
+        v_a, v_b = self.v0 - self.k * y_up, self.v0 - self.k * y_lo
+        return (self.x0 + y_lo, self.x0 + y_up) + ((v_a, v_b) if self.k >= 0.0 else (v_b, v_a))
 
 
 def integrate(state0: PlantState, u: float, p: PlantParams, stop: StopCondition,

@@ -110,7 +110,7 @@ def _cmd_montecarlo(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    from .harness import read_results_csv, summarize
+    from .summary import read_results_csv, summarize
     rows = read_results_csv(args.input)
     stats = summarize(rows)
     if args.out:

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package, and `open_output`."""
 
+import contextlib
+
 
 class DfrtoError(Exception):
     """Base class for all package errors."""
@@ -37,9 +39,12 @@ class InfeasibleLPError(DfrtoError):
     """Linear program has an empty feasible region."""
 
 
+@contextlib.contextmanager
 def open_output(path: str):
-    """open(path, "w"); an OSError raises as a ConfigError naming the path."""
+    """`with open_output(path) as fh:` writes path; an OSError on opening,
+    writing or closing it (a full disk) raises as a ConfigError naming it."""
     try:
-        return open(path, "w")
+        with open(path, "w") as fh:
+            yield fh
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc

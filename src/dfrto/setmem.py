@@ -42,6 +42,7 @@ _LP_TOL = 1e-9
 # fraction of (1 + |b|); each LP bound is padded outward by the same fraction
 _MOVE_REL = 1e-11
 _INCONSISTENT = "constraints inconsistent with noise bound or model structure"
+_MAX_PIVOTS = 20000      # per bound LP re-solve; see _simplex_iterate
 
 
 @dataclass(frozen=True)
@@ -160,17 +161,17 @@ def _inverse3(B: list[list[float]]) -> list[list[float]]:
 
 def _simplex_iterate(A: np.ndarray, d: list[float], cost: np.ndarray,
                      basis: list[int], tol: float
-                     ) -> tuple[list[int], float, list[float]]:
+                     ) -> tuple[list[int], float, list[float], bool]:
     """min cost'z s.t. A z = d, z >= 0 from a feasible basis (Bland's rule).
 
     A is 3 x m.  Each pivot inverts the 3x3 basis explicitly in Python floats
-    and prices every column with one pi @ A.  Returns (basis, optimal value,
-    pi) with pi the duals of the final basis (B'pi = cost_B).  Raises
-    InfeasibleLPError when the objective is unbounded below, i.e. when the
-    primal is infeasible.
+    and prices every column with one pi @ A.  Returns (basis, value, pi, capped)
+    with pi the duals of the final basis (B'pi = cost_B), capped after
+    _MAX_PIVOTS pivots at a basis still feasible here: by weak duality a looser
+    bound.  Raises InfeasibleLPError when the primal is infeasible (unbounded).
     """
     basis = list(basis)
-    for _ in range(20000):
+    for pivots in range(_MAX_PIVOTS + 1):
         Binv = _inverse3(A[:, basis].tolist())
         c_b = cost[basis].tolist()
         z_b = [r[0] * d[0] + r[1] * d[1] + r[2] * d[2] for r in Binv]
@@ -182,8 +183,8 @@ def _simplex_iterate(A: np.ndarray, d: list[float], cost: np.ndarray,
             if cand not in basis:      # Bland: lowest index enters
                 j = cand
                 break
-        if j < 0:
-            return basis, c_b[0] * z_b[0] + c_b[1] * z_b[1] + c_b[2] * z_b[2], pi
+        if j < 0 or pivots == _MAX_PIVOTS:
+            return basis, c_b[0] * z_b[0] + c_b[1] * z_b[1] + c_b[2] * z_b[2], pi, j >= 0
         a = A[:, j].tolist()
         direction = [r[0] * a[0] + r[1] * a[1] + r[2] * a[2] for r in Binv]
         ratios = [z / g if g > tol else math.inf for z, g in zip(z_b, direction)]
@@ -194,7 +195,6 @@ def _simplex_iterate(A: np.ndarray, d: list[float], cost: np.ndarray,
         # Bland: among tied ratios the lowest variable index leaves
         leave = min((i for i in range(3) if ratios[i] <= cut), key=lambda i: basis[i])
         basis[leave] = j
-    raise InfeasibleLPError("simplex iteration limit exceeded")
 
 
 # --- bounding boxes -------------------------------------------------------------
@@ -211,6 +211,15 @@ def _down(x: float) -> float:
 
 def _up(x: float) -> float:
     return math.nextafter(x, math.inf)
+
+
+def _product_bounds(a_lo: np.ndarray, a_hi: np.ndarray, x_lo: float, x_hi: float):
+    """Elementwise (min, max) of the rounded a*x over a in [a_lo, a_hi], x in
+    [x_lo, x_hi]: at two corners where a, x >= 0, else at four."""
+    if x_lo >= 0.0 and a_lo.min(initial=np.inf) >= 0.0:
+        return a_lo * x_lo, a_hi * x_hi
+    c = np.array([a_lo * x_lo, a_lo * x_hi, a_hi * x_lo, a_hi * x_hi])
+    return c.min(axis=0), c.max(axis=0)
 
 
 class _ArcPolygon:
@@ -360,6 +369,7 @@ class _WarmBoundLP:
         self.lo, self.hi = prior.lo_arr(), prior.hi_arr()
         self._cost[:6] = np.concatenate([self.hi, -self.lo])
         self.m = 6
+        self.n_capped = 0       # re-solves that stopped at _MAX_PIVOTS
         # direction order: min p1, max p1, min p2, max p2, min p3, max p3, each
         # started from the box facets; the optimizer vertex is the lo corner for
         # the min directions and the hi corner for the max directions
@@ -468,8 +478,9 @@ class _WarmBoundLP:
         A = self._cols[:, : self.m]
         cost = self._cost[: self.m]
         for d in directions:
-            basis, val, pi = _simplex_iterate(A, self._rhs[d], cost,
-                                              self._basis[d].tolist(), _LP_TOL)
+            basis, val, pi, capped = _simplex_iterate(A, self._rhs[d], cost,
+                                                      self._basis[d].tolist(), _LP_TOL)
+            self.n_capped += capped
             self._basis[d] = basis
             self.x_opt[d] = pi
             j, sign = divmod(d, 2)
@@ -526,7 +537,7 @@ class OnlineBoxEstimator:
     # rows the bulk paths check against the polygon vertices or the cached LP
     # optimizers in one numpy pass; the window doubles while no row cuts and
     # restarts after a cut
-    _SCAN0 = 64
+    _SCAN0 = 256
     _MAX_VERTICES = 32
 
     def __init__(self, prior: ParamBox, sigma: float):
@@ -591,6 +602,20 @@ class OnlineBoxEstimator:
         self.n_measurements += 1
         return self.box
 
+    def inert(self, lc1, lc2, q) -> np.ndarray:
+        """`_WarmBoundLP.strip_is_inert` over measurements (1, -lc1, -lc2; q) known
+        up to intervals, pairs (lo, hi) of arrays: rounded products are monotone in
+        each factor and negation is exact, so corner products (`_product_bounds`)
+        bound every sum `process_row` and `_cuts_box` form; bu >= q_lo + sigma, bl
+        <= q_hi - sigma.  A NaN fails a comparison; the polygon phase has no inert
+        rows.  Skipping inert rows changes no box, column or counter."""
+        if type(self._lp) is not _WarmBoundLP:
+            return np.zeros(q[0].shape, dtype=bool)
+        l0, l1, l2, h0, h1, h2 = self._lp.hull
+        m1, u1 = _product_bounds(*lc1, l1, h1)
+        m2, u2 = _product_bounds(*lc2, l2, h2)
+        return (h0 - m1 - m2 <= q[0] + self.sigma) & (l0 - u1 - u2 >= q[1] - self.sigma)
+
     def add_rows_stop_on_change(self, A: np.ndarray, q: np.ndarray) -> tuple[int, bool]:
         """Ingest measurements in order, stopping after the first one that
         shrinks the box.  Returns (measurements consumed, box changed)."""
@@ -646,12 +671,13 @@ class OnlineBoxEstimator:
         bu, bl = q[:e] + self.sigma, q[:e] - self.sigma
         up = bu + _CLIP_REL * (1.0 + np.abs(bu))
         lo = bl - _CLIP_REL * (1.0 + np.abs(bl))
-        th, p2 = np.array(poly.th), np.array(poly.p2)
+        # a row per vertex: numpy reduces fast across rows, slowly along short ones
+        th, p2 = np.array(poly.th)[:, None], np.array(poly.p2)[:, None]
         i, w = 0, self._SCAN0
         while i < e:
             j = min(e, i + w)
-            r = th + a1[i:j, None] * p2                 # the same sums as in `add`
-            hit = (r.max(axis=1) > up[i:j]) | (r.min(axis=1) < lo[i:j])
+            r = th + a1[i:j] * p2                       # the same sums as in `add`
+            hit = (r.max(axis=0) > up[i:j]) | (r.min(axis=0) < lo[i:j])
             if not hit.any():
                 i, w = j, 2 * w
                 continue
@@ -659,7 +685,7 @@ class OnlineBoxEstimator:
             moved = self._cut_arc(float(a1[h]), float(up[h]), float(lo[h]))
             if (moved and stop) or self._lp is not poly:
                 return h + 1, moved and stop
-            th, p2 = np.array(poly.th), np.array(poly.p2)
+            th, p2 = np.array(poly.th)[:, None], np.array(poly.p2)[:, None]
             i, w = h + 1, self._SCAN0
         if e < n:
             self._on_arc(A[e, 0], A[e, 2])
@@ -694,11 +720,11 @@ class OnlineBoxEstimator:
 
     def _set_box(self, lo: np.ndarray, hi: np.ndarray) -> None:
         """Nest new bounds into the current box; count the rebound."""
-        lo = np.maximum(lo, self.box.lo_arr())
-        hi = np.minimum(hi, self.box.hi_arr())
-        if np.any(lo > hi + 1e-9):
+        lo = [max(a, b) for a, b in zip(lo.tolist(), self.box.lo)]   # ties: as np.maximum
+        hi = [min(a, b) for a, b in zip(hi.tolist(), self.box.hi)]
+        if any(a > b + 1e-9 for a, b in zip(lo, hi)):
             raise ModelInvalidatedError(_INCONSISTENT)
-        self.box = ParamBox.from_arrays(lo, np.maximum(hi, lo))
+        self.box = ParamBox(tuple(lo), tuple(max(b, a) for a, b in zip(lo, hi)))
         self.n_lp_rebounds += 1
 
 

@@ -12,12 +12,14 @@ concentration ratio, so terminal feasibility holds under any mismatch.
    equivalence switch; the singular control is refreshed as the box shrinks.
 
 On the adaptive singular arc the plant is propagated in closed form (arc.py),
-one Arc per singular control: its ratio event comes once from the exact
-expression and its states at the sampling instants from vectorized solves
-over blocks of samples, until a box update moves the control, so no step size
-or event tolerance is involved.  realized_batch_times evaluates committed
-decisions with the same arc formulas, and so does arc.integrate, which runs
-the committed decisions of the open-loop strategies.  Only the adaptive
+one Arc per singular control, until a box update moves the control.  Blocks
+of samples are enclosed without a Halley pass (Arc.state_bounds) and screened
+against the estimator's hull box (OnlineBoxEstimator.inert); only the samples
+that may move or enter the LP (about one in ten) get exact states.  An
+adaptive generalized batch costs about 25 ms so, against 36 ms with every
+state exact (in-process, 2-vCPU Xeon).  No step size or event tolerance is
+involved.  realized_batch_times and arc.integrate, which runs the decisions of
+the open-loop strategies, use the same arc formulas.  Only the adaptive
 concentrate phase still solves an ODE; `solve_ivp` imports scipy.integrate
 (about 0.2 s) on its first call, so a process with no adaptive batch never does.
 """
@@ -301,12 +303,13 @@ class NoiseStream:
         return self._values[k]
 
 
-# samples per block of singular-arc states: Arc.states costs about 0.17 ms
-# per call plus 0.25 us per sample (break-even near 660 samples), and the
-# samples after a control change are recomputed, so each control's blocks
-# start near that size and double while the control holds
-_BLOCK0 = 512
-_BLOCK_MAX = 8192
+# singular-arc samples per block: screening one costs about 60 us plus 60 ns
+# per sample, and the samples after a control change are void, so a control's
+# blocks start at _BLOCK0 and double while it holds; their candidates get exact
+# states _CHUNK at a time, where Arc.states costs about 0.2 ms per call
+_BLOCK0 = 2048
+_BLOCK_MAX = 16384
+_CHUNK = 128
 
 
 # a re-optimization is informative when the t1 window at least halves, or
@@ -426,10 +429,10 @@ def adaptive_strategy(P0: ParamBox, p_true: PlantParams, spec: ProcessSpec,
         y = run_concentrate(t_now, t1_commit, y)
         t_now = t1_commit
 
-    # phase 2: singular arc in closed form, one Arc per control.  Its states
-    # come in blocks of sampling instants, each ingested until a box change
-    # moves the mid-box control; the plant then re-anchors at that sample
-    # under the new control, and the rest of the block is recomputed.
+    # phase 2: singular arc in closed form, one Arc per control, screened and
+    # ingested block by block (module docstring) until a box change moves the
+    # control; the plant then re-anchors at that sample.  A change that keeps
+    # the control re-screens the rest of the block against the new hull.
     u_now = singular_control(est.box.mid())
     band_degenerate = est.box.widths()[1] + est.box.widths()[2] < 1e-12
     p1t, p2t, p3t = p_true.p1, p_true.p2, p_true.p3
@@ -448,35 +451,47 @@ def adaptive_strategy(P0: ParamBox, p_true: PlantParams, spec: ProcessSpec,
                 return BatchResult("adaptive", p_true, t1_commit, math.nan, math.nan,
                                    feasible=False, regret=math.nan, reopt_count=reopts,
                                    timed_out=True, box_history=boxes)
-            ts = (k_next + np.arange(block)) * dt
+            ks = np.arange(k_next, k_next + block)
+            ts = ks * dt
             filled = int(np.searchsorted(ts, t_ev))     # samples before the event
-            ts = ts[:filled]
-            lc1, lc2 = arc.states(ts, y_ev)
-            q_noisy = (p1t - p2t * lc1 - p3t * lc2
-                       + noise.eta(np.arange(k_next, k_next + filled)))
-            rows = np.column_stack([np.ones(filled), -lc1, -lc2])
-            used = 0
-            while used < filled:
-                n_used, changed = est.add_rows_stop_on_change(rows[used:], q_noisy[used:])
-                used += n_used
-                if not changed:
+            ts, eta = ts[:filled], noise.eta(ks[:filled])
+            x_lo, x_hi, v_lo, v_hi = arc.state_bounds(ts, y_ev)
+            q_lo = p1t - p2t * x_hi - p3t * v_hi + eta    # q falls in x, v: p2 > 0, p3 >= 0
+            q_hi = p1t - p2t * x_lo - p3t * v_lo + eta
+            used, n_in, i0, rest = filled, 0, 0, None
+            while True:
+                if rest is None:        # the rest of the block against the current hull
+                    rest = i0 + np.flatnonzero(~est.inert((x_lo[i0:], x_hi[i0:]), (
+                        v_lo[i0:], v_hi[i0:]), (q_lo[i0:], q_hi[i0:])))
+                cand, rest = rest[:_CHUNK], rest[_CHUNK:]
+                if not cand.size:
                     break
-                log_box(float(ts[used - 1]))
+                lc1, lc2 = arc.states(ts[cand], y_ev)
+                q_noisy = p1t - p2t * lc1 - p3t * lc2 + eta[cand]
+                n_used, changed = est.add_rows_stop_on_change(
+                    np.column_stack([np.ones(cand.size), -lc1, -lc2]), q_noisy)
+                n_in += n_used
+                if not changed:
+                    continue            # the hull stands, and so does the screen
+                i0, rest = int(cand[n_used - 1]) + 1, None
+                log_box(float(ts[i0 - 1]))
                 if not band_degenerate:
                     u_ref = singular_control(est.box.mid())
                     if abs(u_ref - u_now) > 1e-13:
                         u_next = u_ref       # later samples of this block are void
+                        used = i0
+                        x_now, v_now = float(lc1[n_used - 1]), float(lc2[n_used - 1])
                         break
+            est.n_measurements += used - n_in       # the screened-out samples
             if u_next is None:
-                used = filled
                 if filled < block:
                     t_event = t_ev
                 block = min(2 * block, _BLOCK_MAX)
-            if rec is not None:
-                rec.append((ts[:used], np.exp(lc1[:used]), np.exp(lc2[:used]), u_now))
+            if rec is not None and used:     # a solve for the trajectory alone
+                lc1, lc2 = arc.states(ts[:used], y_ev)
+                rec.append((ts[:used], np.exp(lc1), np.exp(lc2), u_now))
             if used:
                 t_now = float(ts[used - 1])
-                x_now, v_now = float(lc1[used - 1]), float(lc2[used - 1])
                 k_next += used
         if u_next is not None:
             u_now = u_next

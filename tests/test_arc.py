@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, target
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -273,3 +273,38 @@ def test_float_arc_is_bitwise_the_array_arc(t0, x0, v0, u, p2, p3, q0, w, gap):
     want = _arc_results(array, w, gap)
     assert all(type(g) is float for g in got)
     assert len(got) == len(want) and _bits(got) == _bits(want)
+
+
+# r = 0, |r| small as on a singular arc under the mid-box control, |r| large
+_R_ARC = st.one_of(st.just(0.0), st.floats(-2e-3, 2e-3), st.floats(-0.5, 0.5))
+
+
+@given(r=_R_ARC, u=st.floats(0.05, 0.99), p3=st.floats(0.0, 2.0),
+       q0=st.floats(0.5, 10.0), gap=st.floats(0.05, 4.0), reach=st.floats(0.0, 1.0),
+       n=st.sampled_from([1, 3, 8, 9, 64, 2048]), seed=st.integers(0, 2 ** 31 - 1))
+@example(r=0.0, u=0.9, p3=0.3, q0=2.0, gap=2.0, reach=1.0, n=2048, seed=0)
+@example(r=-1e-3, u=0.9, p3=0.3, q0=2.0, gap=2.0, reach=1.0, n=2048, seed=0)
+@example(r=0.45, u=0.6, p3=0.3, q0=2.0, gap=4.0, reach=1.0, n=64, seed=0)
+def test_state_bounds_enclose_every_halley_result(r, u, p3, q0, gap, reach, n, seed):
+    """Arc.state_bounds encloses the states that Arc.states computes at the
+    same times, solved as one block, as a random subset or one at a time.
+    hypothesis.target pushes towards the smallest margin, in units of the
+    pad _Y_PAD (run with --hypothesis-show-statistics to see it)."""
+    x0, v0 = math.log(225.0), math.log(50.0)
+    k = u / (1.0 - u)
+    p2 = r * q0 + p3 * k
+    arc = Arc(2.5, x0, v0, u, q0 + p2 * x0 + p3 * v0, p2, p3, 1000.0)
+    y_ev = arc.ratio_y((x0 - v0) + gap)
+    y_end = min(y_ev, 0.999 / arc.r) if arc.r > 0.0 else y_ev
+    t_end = arc.time_to(x0 + reach * y_end)
+    ts = 2.5 + (t_end - 2.5) * np.arange(1, n + 1) / n
+    x_lo, x_hi, v_lo, v_hi = arc.state_bounds(ts, y_ev)
+    pick = np.random.default_rng(seed).random(n) < 0.3
+    margin = math.inf
+    for sel in (np.ones(n, dtype=bool), pick, np.arange(n) == n - 1):
+        x, v = arc.states(ts[sel], y_ev)
+        for got, lo_, hi_ in ((x, x_lo[sel], x_hi[sel]), (v, v_lo[sel], v_hi[sel])):
+            assert np.all(lo_ <= got) and np.all(got <= hi_)
+        if x.size:          # in Y, which x = x0 + Y shifts
+            margin = min(margin, float(np.min(np.minimum(x - x_lo[sel], x_hi[sel] - x))))
+    target(-margin / arc_mod._Y_PAD, label="smallest margin in Y / _Y_PAD, negated")

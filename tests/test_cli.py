@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -258,6 +259,28 @@ def test_unwritable_out_is_config_error(tmp_path, capsys, argv):
     argv = [a.format(meas=meas, results=results) for a in argv]
     assert run(argv + ["--out", bad]) == 2
     assert f"config error: cannot write {bad}: " in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["montecarlo", "--n", "1", "--strategies", "optimal"],
+    ["simulate", "--strategy", "optimal"],
+    ["estimate", "--input", "{meas}"],
+    ["reach"],
+    ["summarize", "--input", "{results}"],
+], ids=lambda argv: argv[0])
+def test_failed_write_is_config_error(tmp_path, capsys, argv):
+    """An output that opens but cannot be written (a full disk) exits 2 and
+    names it, like one that cannot be opened."""
+    meas = tmp_path / "m.csv"
+    meas.write_text("t,q_m,c1,c2\n0,9.0,50,50\n")
+    results = tmp_path / "mc.csv"
+    assert run(["montecarlo", "--n", "1", "--strategies", "optimal",
+                "--out", str(results)]) == 0
+    capsys.readouterr()
+    argv = [a.format(meas=meas, results=results) for a in argv]
+    assert run(argv + ["--out", "/dev/full"]) == 2
+    assert "config error: cannot write /dev/full: " in capsys.readouterr().err
 
 
 def test_summarize_short_row_is_config_error(tmp_path, capsys):

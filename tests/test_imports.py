@@ -1,9 +1,9 @@
 """Each entry point imports only the layers it runs.
 
 A fresh interpreter runs the entry point and reports which scipy modules it
-loaded: the CLI itself and `dfrto estimate` need none, the subcommands that
-compute arcs need scipy.special, and only an adaptive batch needs
-scipy.integrate.
+loaded: the CLI itself, `dfrto estimate` and `dfrto summarize` need none,
+the subcommands that compute arcs need scipy.special, and only an adaptive
+batch needs scipy.integrate.
 """
 
 import json
@@ -41,6 +41,14 @@ def test_cli_import_loads_no_scipy(tmp_path):
 def test_estimate_loads_no_scipy(tmp_path):
     (tmp_path / "m.csv").write_text("t,q_m,c1,c2\n0,9.0,50,50\n0.001,8.9,50.1,49.9\n")
     code = cli_run("estimate", "--input", "m.csv", "--out", "b.csv")
+    assert scipy_modules_after(code, tmp_path) == set()
+
+
+def test_summarize_loads_no_scipy(tmp_path):
+    (tmp_path / "r.csv").write_text(
+        "batch_id,strategy,seed,p1,p2,p3,t1,t2,tf,regret,feasible,reopt_count\n"
+        "0,optimal,7,20.7,3.0,0.3,1.5,2.5,2.5,0,1,0\n")
+    code = cli_run("summarize", "--input", "r.csv", "--out", "s.csv")
     assert scipy_modules_after(code, tmp_path) == set()
 
 

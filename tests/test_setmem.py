@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from dfrto import setmem
 from dfrto.arc import integrate
 from dfrto.cases import get_case
 from dfrto.errors import (ConfigError, DomainError, InfeasibleLPError,
@@ -727,3 +729,59 @@ def test_add_rejects_nonpositive_concentration():
         with pytest.raises(DomainError):
             est.add(Measurement(0.0, 4.2, c1, c2))
     assert est.n_measurements == 0 and est._lp.m == 6
+
+
+def test_pivot_cap_keeps_a_sound_looser_box(full_batch, monkeypatch):
+    """A bound LP that reaches the pivot cap keeps its last basis, which is
+    still feasible in the dual: by weak duality its value bounds the optimum,
+    so the box stays sound and only gets looser.  The estimator counts the
+    event and raises nothing."""
+    prior, sigma, p, _, A, q = full_batch
+    exact = OnlineBoxEstimator(prior, sigma)
+    exact.add_rows(A, q)
+    monkeypatch.setattr(setmem, "_MAX_PIVOTS", 1)
+    capped = OnlineBoxEstimator(prior, sigma)
+    capped.add_rows(A, q)
+    assert capped._lp.n_capped > 0 and exact._lp.n_capped == 0
+    assert capped.box.contains(p)
+    lo, hi = exact.box.lo_arr(), exact.box.hi_arr()
+    assert np.all(capped.box.lo_arr() <= lo + setmem._MOVE_REL * (1.0 + np.abs(lo)))
+    assert np.all(capped.box.hi_arr() >= hi - setmem._MOVE_REL * (1.0 + np.abs(hi)))
+    assert not np.array_equal(capped.box.lo_arr(), lo) or not np.array_equal(
+        capped.box.hi_arr(), hi)
+
+
+def _interval(rng, x, n):
+    """Intervals around the exact values x: zero width, one-sided or two-sided,
+    up to 1e-4 of |x| wide."""
+    w = 10.0 ** rng.uniform(-16.0, -4.0, (2, n)) * rng.integers(0, 2, (2, n))
+    return x - w[0] * np.abs(x), x + w[1] * np.abs(x)
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([(1.0, 1.0), (0.5, 3.0), (-2.0, 2.0)]))
+def test_interval_inert_implies_exact_inert(seed, sign_mix):
+    """On a random hull, a measurement screened inert over intervals of ln c1,
+    ln c2 and q is inert for every exact row inside them (the exact screen is
+    monotone in each entry, so the corners of the intervals are the worst
+    rows), and zero-width intervals screen exactly as the one-row screen."""
+    rng = np.random.default_rng(seed)
+    est = OnlineBoxEstimator(PRIOR, 0.1)
+    est._lp = lp = _WarmBoundLP(PRIOR)
+    lo = rng.uniform(-1.0, 1.0, 3) * np.array([20.0, sign_mix[0], sign_mix[1]])
+    width = rng.uniform(0.0, 1.0, 3) * np.array([0.05, 0.01, 0.01])
+    lp.hull = tuple(lo.tolist() + (lo + width).tolist())
+    n, sigma = 2000, 0.1
+    lc1 = rng.uniform(-6.0 if sign_mix[0] < 0 else 1.0, 6.0, n)
+    lc2 = rng.uniform(-4.0, 4.0, n)
+    l0, l1, l2, h0, h1, h2 = lp.hull
+    centre = 0.5 * (l0 + h0) - lc1 * 0.5 * (l1 + h1) - lc2 * 0.5 * (l2 + h2)
+    q = centre + rng.uniform(-0.15, 0.15, n)
+    ivs = [_interval(rng, x, n) for x in (lc1, lc2, q)]
+    inert = est.inert(*ivs)
+    assert 0 < inert.sum() < n
+    for i in np.flatnonzero(inert):
+        for c1, c2, qe in itertools.product(*((iv[0][i], iv[1][i]) for iv in ivs)):
+            assert lp.strip_is_inert((1.0, -c1, -c2), qe - sigma, qe + sigma)
+    exact = est.inert((lc1, lc1), (lc2, lc2), (q, q))
+    assert exact.tolist() == [lp.strip_is_inert((1.0, -x, -y), qe - sigma, qe + sigma)
+                              for x, y, qe in zip(lc1.tolist(), lc2.tolist(), q.tolist())]

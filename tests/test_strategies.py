@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dfrto.arc import integrate
+from dfrto import strategies
+from dfrto.arc import Arc, integrate
 from dfrto.cases import get_case
 from dfrto.harness import ExperimentConfig, _batch_seeds, monte_carlo
 from dfrto.policy import compute_switch_times, plan_vectorized, singular_control
 from dfrto.process import (TOL_EVENT, PlantParams, PlantState, ProcessSpec,
                            StopCondition)
-from dfrto.setmem import ParamBox, scenario_points
+from dfrto.setmem import OnlineBoxEstimator, ParamBox, scenario_points
 from dfrto.strategies import (AdaptiveConfig, NoiseStream, RobustConfig,
                               StrategyDecision, adaptive_strategy,
                               nominal_decision, nominal_strategy,
@@ -320,3 +323,77 @@ def test_decision_validation():
         StrategyDecision(1.0, 0.0)
     with pytest.raises(Exception):
         StrategyDecision(1.0, 1.5)
+
+
+class _PointwiseArc(Arc):
+    """An Arc whose states at several times solves each time on its own, so
+    that a sample's exact state does not depend on which other samples share
+    its call."""
+
+    def states(self, t, y_hi):
+        if np.ndim(t) == 0:
+            return super().states(t, y_hi)
+        pairs = [super(_PointwiseArc, self).states(float(ti), y_hi) for ti in t]
+        return (np.array([p[0] for p in pairs], dtype=float),
+                np.array([p[1] for p in pairs], dtype=float))
+
+
+@settings(max_examples=4)
+@given(seed=st.integers(0, 2 ** 31 - 1), case_name=st.sampled_from(["generalized",
+                                                                     "limiting_flux"]))
+def test_adaptive_screen_changes_no_box(seed, case_name):
+    """The samples that the hull screen skips are inert: with every sample's
+    exact state fixed, a batch that ingests every row of its blocks goes
+    through the same boxes at the same times, stores the same LP columns,
+    counts the same measurements, and ends the same."""
+    # frozen limiting-flux arcs are explicit, so every one of their samples is
+    # cheap to solve alone; a changed box keeps their control and is re-screened
+    spec = ProcessSpec(dt_sample=1.0 if case_name == "limiting_flux" else 10.0)
+    case = get_case(case_name)
+    P0 = case.prior_box(spec)
+    p_true = case.draw_truth_gamma(np.random.default_rng(seed), 0.10, spec)
+    made = []
+
+    class Recorded(OnlineBoxEstimator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    def run():
+        return adaptive_strategy(P0, p_true, spec, _noise(seed, spec),
+                                 cfg=AdaptiveConfig(record_boxes=True))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(strategies, "Arc", _PointwiseArc)
+        mp.setattr(strategies, "OnlineBoxEstimator", Recorded)
+        screened = run()
+        mp.setattr(OnlineBoxEstimator, "inert",
+                   lambda self, lc1, lc2, q: np.zeros(q[0].shape, dtype=bool))
+        every = run()
+    assert [t for t, _ in screened.box_history] == [t for t, _ in every.box_history]
+    assert [b for _, b in screened.box_history] == [b for _, b in every.box_history]
+    assert (screened.t1, screened.tf, screened.reopt_count) == \
+        (every.t1, every.tf, every.reopt_count)
+    assert len(screened.box_history) > 3
+    a, b = made
+    assert (a.n_measurements, a.n_lp_rebounds, a._lp.m) == \
+        (b.n_measurements, b.n_lp_rebounds, b._lp.m)
+    assert np.array_equal(a._lp._cols[:, :a._lp.m], b._lp._cols[:, :b._lp.m])
+    assert np.array_equal(a._lp._cost[:a._lp.m], b._lp._cost[:b._lp.m])
+
+
+def test_adaptive_record_changes_no_ingested_bit(spec, case2):
+    """record=True adds a full-block solve for the trajectory only: the rows
+    ingested, the re-anchor states and so the boxes and times keep their
+    bits."""
+    P0 = case2.prior_box(spec)
+    for i in (16, 23):
+        _, truth, noise = _batch_seeds(11000, i)
+        p_true = case2.draw_truth_gamma(np.random.default_rng(truth), 0.10, spec)
+        res = [adaptive_strategy(P0, p_true, spec,
+                                 NoiseStream(np.random.default_rng(noise), spec.sigma),
+                                 cfg=AdaptiveConfig(record_boxes=True), record=record)
+               for record in (False, True)]
+        assert res[0].box_history == res[1].box_history
+        assert (res[0].t1, res[0].tf) == (res[1].t1, res[1].tf)
+        assert res[1].trajectory.event_time == res[1].tf
