@@ -15,8 +15,7 @@ _EXPORTS = {
     "process": ("GAMMA1_UNIT_SCALE", "Measurement", "PlantParams", "PlantState",
                 "ProcessSpec", "StopCondition", "Trajectory", "dilute", "flux"),
     "arc": ("integrate",),
-    "policy": ("PolicyParams", "compute_switch_times", "singular_control",
-               "switching_function"),
+    "policy": ("plan_vectorized", "singular_control"),
 }
 _MODULE = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -29,8 +29,9 @@ One plant at a few points is mostly numpy call overhead: a Halley pass over
 two points costs 35 to 70 numpy calls, and each np.where or np.errstate on a
 0-d value costs as much as the arithmetic of a whole arc.  So there is a path
 in Python floats too, and the shape of the inputs selects it:
-  - `_ArcIntegral` takes it for a scalar r and at most _FLOAT_POINTS points
-    (a tail block of the adaptive loop);
+  - `_ArcIntegral.inverse` takes it for a scalar r and at most _FLOAT_POINTS
+    points (a tail block of the adaptive loop); F takes it one point at a time
+    (`_ArcIntegral._float`), and a call of F is the array form;
   - `Arc` takes it when every plant input (t0, x0, v0, u, p1, p2, p3) is a
     scalar: it then holds Python floats, and `time_to`, `at_y`, `ratio_y`,
     `ratio_event`, `y_bound` and `states` at one time return Python floats
@@ -75,8 +76,8 @@ _U_FROZEN = 1.0 - 1e-12   # controls at or above this run the u = 1 arc
 # underflows
 _ASYMPTOTIC_Z = 500.0
 _ASYMPTOTIC_TERMS = 9
-# a scalar r evaluates calls of at most this many points in Python floats: an
-# inverse breaks even with the array form at 12 to ~25 points (r = -0.3, 0.4,
+# a scalar r solves inverses of at most this many points in Python floats: it
+# breaks even with the array form at 12 to ~25 points (r = -0.3, 0.4,
 # 0, 1e-4) and takes 0.3 to 0.45 of its time at 8
 _FLOAT_POINTS = 8
 _INF, _NAN = float("inf"), float("nan")
@@ -145,9 +146,10 @@ class _ArcIntegral:
     """Y -> F(Y, r) for fixed r, with the parts that depend only on r kept.
 
     F(Y, 0) = 1 - e^(-Y); every other r uses the exponential-integral form.
-    A scalar r evaluates calls of at most _FLOAT_POINTS points in Python
-    floats (see the module docstring); the results are bitwise those of the
-    array form.
+    Calling it is the array form.  For a scalar r, `_float` evaluates one
+    point and `inverse` solves calls of at most _FLOAT_POINTS points in
+    Python floats (see the module docstring); the results are bitwise those
+    of the array form.
     """
 
     def __init__(self, r):
@@ -166,15 +168,8 @@ class _ArcIntegral:
                 self._g0 = _scaled_expi_float(self._z0)
         return self._z0, self._g0
 
-    def __call__(self, Y) -> np.ndarray:
-        Y = np.asarray(Y, dtype=float)
-        if self._rf is None or Y.size > _FLOAT_POINTS:
-            return self._array(Y)
-        if Y.ndim == 0:
-            return np.float64(self._float(float(Y)))
-        return np.array([self._float(y) for y in Y.ravel().tolist()]).reshape(Y.shape)
-
-    def _array(self, Y: np.ndarray) -> np.ndarray:
+    def __call__(self, Y: np.ndarray) -> np.ndarray:
+        """F(Y, r) elementwise (the array form)."""
         r = self.r
         if r.ndim == 0 and r == 0.0:
             return -np.expm1(-Y)
@@ -210,7 +205,7 @@ class _ArcIntegral:
         y = np.where(tau <= 0.0, 0.0,
                      np.where(np.isfinite(y0) & (y0 > 0.0) & (y0 < hi), y0, 0.5 * hi))
         for _ in range(100):
-            f = self._array(y) - tau
+            f = self(y) - tau
             hi = np.where(f > 0.0, y, hi)
             lo = np.where(f < 0.0, y, lo)
             # F' = e^-Y/(1 - rY) and F''/F' = r/(1 - rY) - 1
@@ -469,8 +464,8 @@ def integrate(state0: PlantState, u: float, p: PlantParams, stop: StopCondition,
 
     The arc is propagated in closed form by `Arc`.  The returned trajectory
     holds the start and the stop point, or (when `record`) the dt_sample grid
-    from the start plus the exact stop point.  A ratio stop that already holds
-    at the start stops there.
+    from the start plus the stop point, with the same bits either way.  A ratio
+    stop that already holds at the start stops there.
 
     Raises SimulationTimeout if the stop lies beyond t_max or is never reached
     (a ratio behind the flux stall, a time after c1 has grown without bound)
@@ -512,12 +507,13 @@ def integrate(state0: PlantState, u: float, p: PlantParams, stop: StopCondition,
         y_hi = x_ev - arc.x0
 
     event_time = t_stop if stop.kind != "time" else None
+    if event_time is None:
+        # the stop alone, in Python floats: a grid's Halley loop runs until all
+        # of its points converge, which would move the last bits of its end
+        x_ev, v_ev = arc.states(t_stop, y_hi)
     if not record:
-        # The start and the stop only, in Python floats.  The start state is
-        # exact: in a states() call it sits at Y = 0 and converges on the first
-        # Halley pass, so solving for the stop alone gives the same bits.
-        if event_time is None:
-            x_ev, v_ev = arc.states(t_stop, y_hi)
+        # The start and the stop only.  The start state is exact: in a states()
+        # call it sits at Y = 0 and converges on the first Halley pass.
         moved = t_stop > t0
         ts = [t0, t_stop] if moved else [t0]
         xs = [arc.x0, x_ev] if moved else [x_ev]
@@ -536,8 +532,7 @@ def integrate(state0: PlantState, u: float, p: PlantParams, stop: StopCondition,
     else:
         ts[-1] = t_stop
     x, v = arc.states(ts, y_hi)
-    if event_time is not None:
-        x[-1], v[-1] = x_ev, v_ev
+    x[-1], v[-1] = x_ev, v_ev
     c1s = state0.c1 * np.exp(x - arc.x0)          # relative to the start, as above
     c2s = state0.c2 * np.exp(v - arc.v0)
     qs = p.p1 - p.p2 * x - p.p3 * v

@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: simulate, estimate, reach, montecarlo, summarize.
-Exit codes: 0 success, 2 configuration error (including a prior box or
-truth that starts outside the concentrate/singular/dilute structure),
-3 model invalidated, 4 timeout or flux stall.  Each subcommand imports the
-layers it runs, so `estimate` loads no scipy.
+Exit codes: 0 success (a sweep whose strategy failed on every batch too:
+its statistics read n = 0), 2 configuration error (including a prior box or
+truth that starts outside the concentrate/singular/dilute structure and a
+--box outside the flux model's domain), 3 model invalidated, 4 timeout or
+flux stall.  Each subcommand imports the layers it runs, so `estimate` loads
+no scipy.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import numpy as np
 
 from .cases import STRATEGIES, UNCERTAINTY_PCT_DEFAULT, get_case
 from .errors import (ConfigError, DfrtoError, ModelInvalidatedError,
@@ -28,30 +28,16 @@ def _load_spec(path: str | None) -> ProcessSpec:
 
 
 def _cmd_simulate(args) -> int:
-    from .harness import _batch_seeds
-    from .strategies import (NoiseStream, adaptive_strategy, nominal_strategy,
-                             optimal_strategy, robust_strategy)
+    from .harness import ExperimentConfig, _batch_draw, _run_strategy, make_decisions
 
     spec = _load_spec(args.config)
-    case = get_case(args.case)
-    P0 = case.prior_box(spec, args.uncertainty)
-    # the truth and noise of batch 0 of `montecarlo --seed` with the same case
-    _, truth, noise = _batch_seeds(args.seed, 0)
-    p_true = case.draw_truth_gamma(np.random.default_rng(truth), args.uncertainty,
-                                   spec)
-    if args.strategy == "optimal":
-        res = optimal_strategy(p_true, spec, record=True)
-    elif args.strategy == "nominal":
-        res = nominal_strategy(P0, p_true, spec, record=True)
-    elif args.strategy == "robust":
-        scen = case.gamma_scenarios(spec, args.uncertainty)
-        res = robust_strategy(P0, p_true, spec, scenarios=scen, record=True)
-    elif args.strategy == "adaptive":
-        res = adaptive_strategy(P0, p_true, spec,
-                                NoiseStream(np.random.default_rng(noise), spec.sigma),
-                                record=True)
-    else:
-        raise ConfigError(f"unknown strategy {args.strategy!r}")
+    P0 = get_case(args.case).prior_box(spec, args.uncertainty)
+    # batch 0 of `montecarlo --seed` with the same case and strategy, recorded
+    cfg = ExperimentConfig(case=args.case, n_batches=1, master_seed=args.seed,
+                           uncertainty_pct=args.uncertainty, strategies=(args.strategy,))
+    _, p_true, noise = _batch_draw(cfg, 0, spec)
+    res = _run_strategy(args.strategy, spec, P0, make_decisions(cfg, spec, P0),
+                        p_true, noise, record=True)
     if res.timed_out:
         raise SimulationTimeout(
             f"batch did not finish by t_max={spec.t_max} h (over-concentrated plant)")
@@ -98,7 +84,8 @@ def _cmd_reach(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
-    from .harness import ExperimentConfig, monte_carlo, summarize
+    from .harness import ExperimentConfig, monte_carlo
+    from .summary import summarize
     strategies = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
     cfg = ExperimentConfig(case=args.case, n_batches=args.n, master_seed=args.seed,
                            uncertainty_pct=args.uncertainty, strategies=strategies,

@@ -4,8 +4,7 @@ Each batch draws a truth uniformly over the declared gamma-space uncertainty
 (always inside the estimator's p-space prior box) and a measurement-noise
 stream, both derived from (master_seed, batch index), and runs every requested
 strategy against that same truth and stream, so comparisons are paired.
-Results stream to CSV ordered by batch index; their reader and box-plot
-statistics live in dfrto.summary, re-exported here.
+Results stream to CSV ordered by batch index, in the format of dfrto.summary.
 """
 
 from __future__ import annotations
@@ -20,11 +19,10 @@ from .cases import STRATEGIES, UNCERTAINTY_PCT_DEFAULT, get_case
 from .errors import ConfigError, DfrtoError, open_output
 from .process import PlantParams, ProcessSpec
 from .setmem import ParamBox
-from .strategies import (BatchResult, NoiseStream, RobustConfig,
-                         adaptive_strategy, nominal_decision, nominal_strategy,
-                         optimal_strategy, robust_decision, robust_strategy)
-from .summary import (RESULT_COLUMNS, MetricStats, SummaryStats,  # noqa: F401
-                      read_results_csv, results_to_rows, summarize)
+from .strategies import (BatchResult, NoiseStream, RobustConfig, adaptive_strategy,
+                         nominal_decision, nominal_strategy, optimal_strategy,
+                         robust_decision, robust_strategy)
+from .summary import RESULT_COLUMNS, format_result_row
 
 
 @dataclass(frozen=True)
@@ -51,41 +49,56 @@ class ExperimentConfig:
         get_case(self.case)
 
 
-def _batch_seeds(master_seed: int, i: int) -> tuple[int, np.random.SeedSequence,
-                                                 np.random.SeedSequence]:
-    """Batch i's results-CSV seed and the seed sequences of its truth and of
-    its measurement noise, all from one SeedSequence((master_seed, i))."""
-    ss = np.random.SeedSequence((master_seed, i))
+def _batch_draw(cfg: ExperimentConfig, i: int, spec: ProcessSpec) -> tuple[
+        int, PlantParams, np.random.SeedSequence]:
+    """Batch i's results-CSV seed, true plant and noise seed sequence, all from
+    one SeedSequence((master_seed, i)): the seed is its first word, and its two
+    spawned children seed the truth and the noise.
+
+    Truths are drawn in gamma space (the declared +-pct uncertainty), which
+    always lies inside the enclosing p-space prior box used by the estimator.
+    """
+    ss = np.random.SeedSequence((cfg.master_seed, i))
     truth, noise = ss.spawn(2)
-    return int(ss.generate_state(1)[0]), truth, noise
+    p_true = get_case(cfg.case).draw_truth_gamma(np.random.default_rng(truth),
+                                                 cfg.uncertainty_pct, spec)
+    return int(ss.generate_state(1)[0]), p_true, noise
+
+
+def make_decisions(cfg: ExperimentConfig, spec: ProcessSpec, P0: ParamBox) -> dict:
+    """The commitments of the requested open-loop strategies, shared by every
+    batch: nominal at the prior box's midpoint, robust over the case's gamma
+    scenarios."""
+    decisions = {}
+    if "nominal" in cfg.strategies:
+        decisions["nominal"] = nominal_decision(P0, spec)
+    if "robust" in cfg.strategies:
+        scen = get_case(cfg.case).gamma_scenarios(spec, cfg.uncertainty_pct)
+        decisions["robust"] = robust_decision(P0, spec, RobustConfig(), scenarios=scen)
+    return decisions
 
 
 def _run_strategy(strat: str, spec: ProcessSpec, P0: ParamBox, decisions: dict,
-                  p_true: PlantParams, noise: np.random.SeedSequence) -> BatchResult:
+                  p_true: PlantParams, noise: np.random.SeedSequence, *,
+                  record: bool = False) -> BatchResult:
     if strat == "optimal":
-        return optimal_strategy(p_true, spec)
-    if strat == "nominal":
-        return nominal_strategy(P0, p_true, spec, decision=decisions["nominal"])
-    if strat == "robust":
-        return robust_strategy(P0, p_true, spec, decision=decisions["robust"])
-    # the only strategy that measures, so the only one that draws noise
-    return adaptive_strategy(P0, p_true, spec,
-                             NoiseStream(np.random.default_rng(noise), spec.sigma))
+        return optimal_strategy(p_true, spec, record=record)
+    if strat == "adaptive":     # the only strategy that measures and draws noise
+        return adaptive_strategy(P0, p_true, spec, NoiseStream(
+            np.random.default_rng(noise), spec.sigma), record=record)
+    run = nominal_strategy if strat == "nominal" else robust_strategy
+    return run(p_true, spec, decisions[strat], record=record)
 
 
 def run_batch(cfg: ExperimentConfig, i: int, spec: ProcessSpec, P0: ParamBox,
               decisions: dict) -> tuple[int, list[BatchResult]]:
     """Batch i's results-CSV seed and all requested strategies on its
-    truth/noise draw.
+    truth/noise draw (_batch_draw).
 
-    Truths are drawn in gamma space (the declared +-pct uncertainty), which
-    always lies inside the enclosing p-space prior box used by the estimator.
     A strategy that raises is recorded as failed (timed out, NaN times) on its
     own row; its paired siblings keep their results.
     """
-    seed, truth, noise = _batch_seeds(cfg.master_seed, i)
-    p_true = get_case(cfg.case).draw_truth_gamma(np.random.default_rng(truth),
-                                                 cfg.uncertainty_pct, spec)
+    seed, p_true, noise = _batch_draw(cfg, i, spec)
     out = []
     for strat in cfg.strategies:
         try:
@@ -100,14 +113,8 @@ def monte_carlo(cfg: ExperimentConfig, spec: ProcessSpec | None = None,
                 progress: bool = False) -> list[BatchResult]:
     """Run the paired experiment; stream rows to cfg.out_path when set."""
     spec = spec or ProcessSpec()
-    case = get_case(cfg.case)
-    P0 = case.prior_box(spec, cfg.uncertainty_pct)
-    decisions = {}
-    if "nominal" in cfg.strategies or "robust" in cfg.strategies:
-        decisions["nominal"] = nominal_decision(P0, spec)
-    if "robust" in cfg.strategies:
-        scen = case.gamma_scenarios(spec, cfg.uncertainty_pct)
-        decisions["robust"] = robust_decision(P0, spec, RobustConfig(), scenarios=scen)
+    P0 = get_case(cfg.case).prior_box(spec, cfg.uncertainty_pct)
+    decisions = make_decisions(cfg, spec, P0)
     results: list[BatchResult] = []
     with open_output(cfg.out_path) if cfg.out_path else contextlib.nullcontext() as sink:
         if sink:
@@ -122,9 +129,3 @@ def monte_carlo(cfg: ExperimentConfig, spec: ProcessSpec | None = None,
                 print(f"  batch {i + 1}/{cfg.n_batches}", flush=True)
     return results
 
-
-def format_result_row(batch_id: int, seed: int, r: BatchResult) -> str:
-    p = r.p_true
-    return (f"{batch_id},{r.strategy},{seed},{p.p1:.12g},{p.p2:.12g},{p.p3:.12g},"
-            f"{r.t1:.10g},{r.t2:.10g},{r.tf:.10g},{r.regret:.10g},"
-            f"{int(r.feasible)},{r.reopt_count}")

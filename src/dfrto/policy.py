@@ -13,33 +13,13 @@ integrator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .arc import Arc
 from .arc import integrate  # noqa: F401  (perfbench/tracing.py wraps policy.integrate)
-from .errors import ConfigError, DegenerateModelError, UnsupportedStructureError
-from .process import PlantParams, PlantState, ProcessSpec, flux
-
-
-@dataclass(frozen=True)
-class PolicyParams:
-    """Parameter vector of the committed policy: model params plus switch times."""
-
-    p: PlantParams
-    t1: float
-    t2: float
-    tf: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.t1 <= self.t2 <= self.tf:
-            raise ConfigError(f"switch times must be ordered: {self.t1}, {self.t2}, {self.tf}")
-
-
-def switching_function(state: PlantState, p: PlantParams) -> float:
-    """S = q(c1, c2) - (p2 + p3); zero on the singular surface."""
-    return flux(state.c1, state.c2, p) - p.p2 - p.p3
+from .errors import DegenerateModelError, UnsupportedStructureError
+from .process import PlantParams, ProcessSpec
 
 
 def singular_control(p: PlantParams) -> float:
@@ -57,7 +37,9 @@ def plan_vectorized(P: np.ndarray, spec: ProcessSpec) -> dict:
     Returns arrays t1, t2, tf, us, c1_switch, c1_end; for the single plant of
     a 1-D P (3,) they are Python floats, computed on the float path of
     dfrto.arc with the same bits.  Raises UnsupportedStructureError, naming the
-    first such row, when a row does not start above the singular surface.
+    first such row, when a row does not start above the singular surface
+    (S(x0) = q(x0) - p2 - p3 <= 0).  A c1_end below c1_f is returned as is: a
+    batch on such a plant ends infeasible at its dilution.
     """
     P = np.asarray(P, dtype=float)
     single = P.ndim == 1
@@ -114,24 +96,3 @@ def _singular_arc(c1_sw, p2, p3, spec: ProcessSpec):
     L = np.log(spec.ratio_f * spec.c2_0) - np.log(c1_sw)
     delta = L * p3 / (p2 + p3)
     return c1_sw * np.exp(delta), -spec.mass * np.expm1(-delta) / (p3 * c1_sw)
-
-
-def compute_switch_times(p: PlantParams, spec: ProcessSpec) -> PolicyParams:
-    """Switching times for a known parameter vector.
-
-    t1 is where the switching function crosses zero along u=0 from the initial
-    state; t2 is where c1/c2 reaches the terminal ratio along u=u_s; dilution
-    is instantaneous so tf = t2.
-    """
-    s0 = switching_function(spec.initial_state(), p)
-    if s0 <= 0.0:
-        raise UnsupportedStructureError(
-            f"S(x0) = {s0:.6g} <= 0: concentrate-first structure unsupported")
-    plan = plan_vectorized(p.as_array(), spec)
-    if plan["c1_end"] < spec.c1_f * (1.0 - 1e-12):
-        # dilution only lowers c1: the terminal point is unreachable when the
-        # ratio target is met below c1_f
-        raise UnsupportedStructureError(
-            f"singular arc ends at c1 = {plan['c1_end']:.4g} g/L below the "
-            f"target {spec.c1_f} g/L: dilution cannot reach the final state")
-    return PolicyParams(p, plan["t1"], plan["tf"], plan["tf"])

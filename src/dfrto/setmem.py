@@ -66,17 +66,22 @@ class ParamBox:
 
     @classmethod
     def from_json(cls, path: str) -> "ParamBox":
-        """The box of a JSON file {"lo": [3 numbers], "hi": [3 numbers]}."""
+        """The box of a JSON file {"lo": [3 numbers], "hi": [3 numbers]}, inside
+        the flux model's domain (p2 > 0, p3 >= 0)."""
         try:
             with open(path) as fh:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read parameter box {path!r}: {exc}") from exc
         try:
-            return cls.from_arrays(raw["lo"], raw["hi"])
+            box = cls.from_arrays(raw["lo"], raw["hi"])
         except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise ConfigError(f"parameter box {path!r} needs 'lo' and 'hi' lists of "
                               f"three finite numbers ({exc})") from exc
+        if not (box.lo[1] > 0.0 and box.lo[2] >= 0.0):
+            raise ConfigError(f"parameter box {path!r} leaves the flux model's domain "
+                              f"p2 > 0, p3 >= 0: lo = {list(box.lo)}")
+        return box
 
     @classmethod
     def from_gamma_box(cls, gamma_lo, gamma_hi, area: float = 1.0) -> "ParamBox":

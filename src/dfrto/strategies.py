@@ -170,12 +170,9 @@ def nominal_decision(P0: ParamBox, spec: ProcessSpec) -> StrategyDecision:
     return StrategyDecision(plan["t1"], plan["us"])
 
 
-def nominal_strategy(P0: ParamBox, p_true: PlantParams, spec: ProcessSpec, *,
-                     decision: StrategyDecision | None = None,
-                     record: bool = False) -> BatchResult:
-    """Certainty-equivalence at the box midpoint."""
-    if decision is None:
-        decision = nominal_decision(P0, spec)
+def nominal_strategy(p_true: PlantParams, spec: ProcessSpec, decision: StrategyDecision,
+                     *, record: bool = False) -> BatchResult:
+    """Certainty-equivalence: the nominal decision (plan at the box midpoint)."""
     return _finish_batch("nominal", p_true, spec, decision, record=record)
 
 
@@ -268,27 +265,23 @@ def robust_decision(P0: ParamBox, spec: ProcessSpec,
     return StrategyDecision(t1_c, u_c)
 
 
-def robust_strategy(P0: ParamBox, p_true: PlantParams, spec: ProcessSpec, *,
-                    cfg: RobustConfig = RobustConfig(),
-                    scenarios: np.ndarray | None = None,
-                    decision: StrategyDecision | None = None,
-                    record: bool = False) -> BatchResult:
-    """Min-max commitment: `decision`, or else the robust decision over
-    `scenarios`."""
-    if decision is None:
-        decision = robust_decision(P0, spec, cfg, scenarios=scenarios)
+def robust_strategy(p_true: PlantParams, spec: ProcessSpec, decision: StrategyDecision,
+                    *, record: bool = False) -> BatchResult:
+    """Min-max commitment: the robust decision over the scenario set."""
     return _finish_batch("robust", p_true, spec, decision, record=record)
 
 
 # --- adaptive strategy ----------------------------------------------------------------
 
 class NoiseStream:
-    """Measurement noise indexed by absolute sample number (replay-safe)."""
+    """Measurement noise indexed by absolute sample number (replay-safe):
+    values are drawn BLOCK at a time, in index order."""
 
-    def __init__(self, rng: np.random.Generator, sigma: float, block: int = 40000):
+    BLOCK = 40000
+
+    def __init__(self, rng: np.random.Generator, sigma: float):
         self._rng = rng
         self._sigma = sigma
-        self._block = block
         self._values = np.empty(0)
 
     def eta(self, k: np.ndarray) -> np.ndarray:
@@ -299,7 +292,7 @@ class NoiseStream:
         while self._values.size < need:
             self._values = np.concatenate([
                 self._values,
-                self._rng.uniform(-self._sigma, self._sigma, self._block)])
+                self._rng.uniform(-self._sigma, self._sigma, self.BLOCK)])
         return self._values[k]
 
 
@@ -318,11 +311,6 @@ _CHUNK = 128
 _SHRINK_RATIO = 0.5
 _EPS = (1.0 / 3600.0) ** 2
 _MAX_REOPTS = 10
-
-
-@dataclass(frozen=True)
-class AdaptiveConfig:
-    record_boxes: bool = False
 
 
 def _cost_variation(box: ParamBox, spec: ProcessSpec) -> float:
@@ -344,9 +332,7 @@ def _rhs_factory(p: PlantParams, u: float, m: float):
 
 
 def adaptive_strategy(P0: ParamBox, p_true: PlantParams, spec: ProcessSpec,
-                      noise: NoiseStream, *,
-                      cfg: AdaptiveConfig = AdaptiveConfig(),
-                      record: bool = False) -> BatchResult:
+                      noise: NoiseStream, *, record: bool = False) -> BatchResult:
     """Set-membership adaptive operation.
 
     Concentrate (u=0) while streaming flux measurements; at the sampling
@@ -358,27 +344,28 @@ def adaptive_strategy(P0: ParamBox, p_true: PlantParams, spec: ProcessSpec,
     On the singular arc the control is the mid-box singular control, refreshed
     whenever a new measurement actually shrinks the box; dilution triggers on
     the measured concentration ratio.
+
+    With `record`, the result keeps the trajectory (every sample, from a solve
+    for the trajectory alone) and the box history (time, box) of every box
+    update; without it, both are None.
     """
     est = OnlineBoxEstimator(P0, spec.sigma)
     tf_opt = _plan(p_true, spec)[2]
     dt = spec.dt_h
     m = spec.mass
     rf = spec.ratio_f
-    boxes: list | None = [] if cfg.record_boxes else None
+    boxes = [(0.0, est.box)] if record else None
 
     windows = project_switch_windows(P0, spec)
     state = spec.initial_state()
     reopts = 0
-    rec: list[tuple[np.ndarray, np.ndarray, np.ndarray, float]] | None = \
-        [] if record else None
-    if rec is not None:
-        rec.append((np.array([0.0]), np.array([state.c1]), np.array([state.c2]), 0.0))
+    # (t, c1, c2, u) segments of the trajectory
+    rec = [(np.array([0.0]), np.array([state.c1]), np.array([state.c2]), 0.0)] \
+        if record else None
 
     def log_box(t):
         if boxes is not None:
             boxes.append((t, est.box))
-
-    log_box(0.0)
 
     def run_concentrate(t_from: float, t_to: float, y0) -> np.ndarray:
         """Integrate u=0 over [t_from, t_to], ingesting all samples in between."""

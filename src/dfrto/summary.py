@@ -13,6 +13,14 @@ RESULT_COLUMNS = ("batch_id", "strategy", "seed", "p1", "p2", "p3",
                   "t1", "t2", "tf", "regret", "feasible", "reopt_count")
 
 
+def format_result_row(batch_id: int, seed: int, r) -> str:
+    """The results-CSV row of one strategies.BatchResult."""
+    p = r.p_true
+    return (f"{batch_id},{r.strategy},{seed},{p.p1:.12g},{p.p2:.12g},{p.p3:.12g},"
+            f"{r.t1:.10g},{r.t2:.10g},{r.tf:.10g},{r.regret:.10g},"
+            f"{int(r.feasible)},{r.reopt_count}")
+
+
 def read_results_csv(path: str) -> list[dict]:
     """Rows of a results CSV; a missing file or a malformed row raises
     ConfigError naming the file (and the line)."""
@@ -119,6 +127,9 @@ class SummaryStats:
 
 
 def _tukey(strategy: str, metric: str, values: np.ndarray, n_failed: int) -> MetricStats:
+    if not values.size:         # every batch failed: no statistics
+        return MetricStats(strategy, metric, 0, n_failed, *[np.nan] * 5, 0,
+                           np.nan, np.nan)
     q25, med, q75 = (float(np.percentile(values, q)) for q in (25.0, 50.0, 75.0))
     iqr = q75 - q25
     lo_fence, hi_fence = q25 - 1.5 * iqr, q75 + 1.5 * iqr
@@ -134,8 +145,9 @@ def summarize(rows) -> SummaryStats:
     """Per-strategy Tukey statistics of batch time and regret.
 
     Accepts result dict-rows (from CSV or results_to_rows) or lists of
-    strategies.BatchResult.  Failed batches (NaN times) are excluded from the quantiles and
-    counted separately.
+    strategies.BatchResult.  Failed batches (NaN times) are excluded from the
+    quantiles and counted separately; a strategy whose batches all failed gets
+    n = 0 and NaN statistics.  No rows at all is a ConfigError.
     """
     if not rows:
         raise ConfigError("no results to summarize")
@@ -151,7 +163,5 @@ def summarize(rows) -> SummaryStats:
             vals = np.array([row[metric] for row in rows if row["strategy"] == strat])
             good = vals[np.isfinite(vals)]
             n_failed = int(vals.size - good.size)
-            if good.size == 0:
-                raise ConfigError(f"all batches failed for strategy {strat!r}")
             stats.append(_tukey(strat, metric, good, n_failed))
     return SummaryStats(tuple(stats))

@@ -18,7 +18,7 @@ from scipy.integrate import solve_ivp
 
 from dfrto.arc import integrate
 from dfrto.errors import ConfigError
-from dfrto.policy import PolicyParams, singular_control
+from dfrto.policy import plan_vectorized, singular_control
 from dfrto.process import (PlantParams, PlantState, ProcessSpec, StopCondition,
                            Trajectory, dilute, flux)
 from dfrto.setmem import ParamBox
@@ -196,6 +196,22 @@ def lp_vertex_enumeration(c, G, h, prior):
 # --- policy helpers that only the tests use ------------------------------------
 
 @dataclass(frozen=True)
+class Policy:
+    """A committed policy: the plant's parameters and its switch times."""
+
+    p: PlantParams
+    t1: float
+    t2: float
+    tf: float
+
+
+def plan_policy(p: PlantParams, spec: ProcessSpec) -> Policy:
+    """The clairvoyant policy of the plant p (dfrto.policy.plan_vectorized)."""
+    plan = plan_vectorized(p.as_array(), spec)
+    return Policy(p, plan["t1"], plan["t2"], plan["tf"])
+
+
+@dataclass(frozen=True)
 class ControlArc:
     """One arc of the policy; the dilute arc has zero duration."""
 
@@ -205,7 +221,7 @@ class ControlArc:
     u_value: float
 
 
-def arcs_from_policy(pi: PolicyParams) -> list[ControlArc]:
+def arcs_from_policy(pi: Policy) -> list[ControlArc]:
     return [
         ControlArc("concentrate", 0.0, pi.t1, 0.0),
         ControlArc("singular", pi.t1, pi.t2, singular_control(pi.p)),
@@ -213,7 +229,7 @@ def arcs_from_policy(pi: PolicyParams) -> list[ControlArc]:
     ]
 
 
-def evaluate_policy(t: float, state: PlantState, pi: PolicyParams) -> float:
+def evaluate_policy(t: float, state: PlantState, pi: Policy) -> float:
     """Step-wise control law: 0 before t1, u_s on [t1, t2), DILUTE (inf) at t2."""
     if t > pi.tf + 1e-12:
         raise ConfigError(f"t={t} beyond final time {pi.tf}")
@@ -234,7 +250,7 @@ def scaled(p: PlantParams, alpha: float) -> PlantParams:
     return PlantParams(alpha * p.p1, alpha * p.p2, alpha * p.p3)
 
 
-def simulate_policy(pi: PolicyParams, spec: ProcessSpec, *,
+def simulate_policy(pi: Policy, spec: ProcessSpec, *,
                     record: bool = True) -> Trajectory:
     """Open-loop replay of a committed policy on the plant with the same params."""
     arc1 = integrate(spec.initial_state(), 0.0, pi.p,

@@ -13,13 +13,14 @@ import pytest
 
 from dfrto.arc import integrate
 from dfrto.cases import get_case
-from dfrto.harness import ExperimentConfig, monte_carlo, results_to_rows
-from dfrto.policy import compute_switch_times, plan_vectorized, singular_control
+from dfrto.harness import ExperimentConfig, monte_carlo
+from dfrto.policy import plan_vectorized, singular_control
 from dfrto.process import TOL_EVENT, ProcessSpec, StopCondition
 from dfrto.reach import project_switch_windows, project_u_band
 from dfrto.setmem import OnlineBoxEstimator, ParamBox
-from dfrto.strategies import (AdaptiveConfig, NoiseStream, adaptive_strategy,
-                              nominal_decision, robust_decision)
+from dfrto.strategies import (NoiseStream, adaptive_strategy, nominal_decision,
+                              robust_decision)
+from dfrto.summary import results_to_rows
 from dfrto.cli import main as cli_main
 from oracles import draw_truth, grid_feasible_box, rk4_event_time
 
@@ -63,20 +64,21 @@ def test_criterion_1_nominal_switch_times(spec):
                                       ("generalized", 2.561, 9.277)):
         p_nom = get_case(case_name).nominal_params(spec)
         t0 = time.perf_counter()
-        pi = compute_switch_times(p_nom, spec)
+        plan = plan_vectorized(p_nom.as_array(), spec)
+        t1, tf = plan["t1"], plan["tf"]
         elapsed = time.perf_counter() - t0
-        ok = (abs(pi.t1 / t1_ref - 1.0) <= 0.10
-              and abs(pi.tf / tf_ref - 1.0) <= 0.10 and elapsed < 1.0)
+        ok = (abs(t1 / t1_ref - 1.0) <= 0.10
+              and abs(tf / tf_ref - 1.0) <= 0.10 and elapsed < 1.0)
         # independent fixed-step oracle on the first switching event
         def s_fn(c1, c2, p=p_nom):
             return (p.p1 - p.p2 * math.log(c1) - p.p3 * math.log(c2)
                     - p.p2 - p.p3)
         t1_oracle = rk4_event_time(spec.initial_state(), 0.0, p_nom, spec,
                                    lambda a, b: -s_fn(a, b), h=1e-4)
-        ok = ok and abs(pi.t1 - t1_oracle) <= 1e-3
+        ok = ok and abs(t1 - t1_oracle) <= 1e-3
         _report(1, f"{case_name} nominal t1/tf within 10% and matches RK4 oracle",
-                ok, f"t1={pi.t1:.4f} (ref {t1_ref}), tf={pi.tf:.4f} (ref {tf_ref}), "
-                    f"|dt_oracle|={abs(pi.t1 - t1_oracle):.2e}, {elapsed * 1e3:.1f} ms")
+                ok, f"t1={t1:.4f} (ref {t1_ref}), tf={tf:.4f} (ref {tf_ref}), "
+                    f"|dt_oracle|={abs(t1 - t1_oracle):.2e}, {elapsed * 1e3:.1f} ms")
 
 
 # -- criterion 2: singular-arc flux pinning ---------------------------------------
@@ -88,9 +90,9 @@ def test_criterion_2_singular_arc_pinning(spec):
         case = get_case(case_name)
         for _ in range(5):
             p = case.draw_truth_gamma(rng, 0.10, spec)
-            pi = compute_switch_times(p, spec)
+            t1 = plan_vectorized(p.as_array(), spec)["t1"]
             arc1 = integrate(spec.initial_state(), 0.0, p,
-                             StopCondition.at_time(pi.t1), spec, record=False)
+                             StopCondition.at_time(t1), spec, record=False)
             arc2 = integrate(arc1.final_state(), singular_control(p), p,
                              StopCondition.ratio_reached(spec.ratio_f), spec,
                              record=True)
@@ -202,7 +204,7 @@ def test_criterion_4_identifiability(spec):
         p_true = case.draw_truth_gamma(rng, 0.10, spec)
         res = adaptive_strategy(
             P0, p_true, spec, NoiseStream(np.random.default_rng(seed + 100), spec.sigma),
-            cfg=AdaptiveConfig(record_boxes=True))
+            record=True)
         hist = res.box_history
         pre = [b for t, b in hist if t <= res.t1 + 1e-9][-1].widths()
         post = [b for t, b in hist if t <= res.t1 + 0.5][-1].widths()

@@ -8,7 +8,7 @@ import pytest
 
 from dfrto.cli import main
 from dfrto.errors import ConfigError
-from dfrto.harness import read_results_csv
+from dfrto.summary import read_results_csv
 from dfrto.process import PlantParams, ProcessSpec, flux
 from dfrto.setmem import ParamBox
 
@@ -217,7 +217,11 @@ def test_timeout_exit_code(tmp_path):
     (json.dumps({"lo": [20.7, 3.0, 0.0]}), "needs 'lo' and 'hi'"),
     ("{\"lo\": [NaN, 3.0, 0.0], \"hi\": [21.0, 3.0, 0.0]}", "finite"),
     ("{\"lo\": [20.7, 3.0, 0.0], \"hi\": [Infinity, 3.0, 0.0]}", "finite"),
-], ids=["missing", "invalid_json", "no_hi", "nan", "infinity"])
+    # outside the flux model's domain: log-flux arcs need p2 > 0 and p3 >= 0
+    (json.dumps({"lo": [20.0, 0.0, 0.4], "hi": [21.0, 3.0, 0.4]}), "domain"),
+    (json.dumps({"lo": [20.7, 3.0, -1.0], "hi": [21.0, 3.1, 0.5]}), "domain"),
+], ids=["missing", "invalid_json", "no_hi", "nan", "infinity", "p2_zero",
+        "p3_negative"])
 def test_reach_bad_box_file_is_config_error(tmp_path, capsys, content, message):
     box = tmp_path / "box.json"
     if content is not None:
@@ -227,6 +231,27 @@ def test_reach_bad_box_file_is_config_error(tmp_path, capsys, content, message):
         assert run(["reach", "--box", str(box)]) == 2
     err = capsys.readouterr().err
     assert message in err and "box.json" in err
+
+
+def test_strategy_failed_on_every_batch_is_reported(tmp_path, capsys):
+    """A 0.01 h cap fails every optimal batch; the sweep still ran and wrote
+    its rows, so montecarlo and summarize report n = 0 and the failures."""
+    cfg = tmp_path / "spec.json"
+    cfg.write_text(json.dumps({"t_max": 0.01}))
+    out, stats = tmp_path / "mc.csv", tmp_path / "stats.csv"
+    assert run(["montecarlo", "--n", "1", "--strategies", "optimal", "--config", str(cfg),
+                "--out", str(out)]) == 0
+    assert run(["summarize", "--input", str(out), "--out", str(stats)]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert table[2].split() == table[-2].split() == [
+        "optimal", "tf", "0", *["nan"] * 5, "0", "1"]
+    lines = stats.read_text().splitlines()
+    assert lines[1:] == [f"optimal,{m},0,1,nan,nan,nan,nan,nan,0,nan,nan"
+                         for m in ("tf", "regret")]
+    # a results file without rows is still an error
+    out.write_text(out.read_text().splitlines()[0] + "\n")
+    assert run(["summarize", "--input", str(out)]) == 2
+    assert "no results" in capsys.readouterr().err
 
 
 def test_param_box_rejects_non_finite_bounds():

@@ -5,10 +5,12 @@ import pytest
 from scipy import stats as sps
 
 from dfrto import harness
+from dfrto.cases import get_case
 from dfrto.errors import ConfigError, StallError
-from dfrto.harness import (ExperimentConfig, monte_carlo, read_results_csv,
-                           summarize)
+from dfrto.harness import ExperimentConfig, monte_carlo
+from dfrto.process import ProcessSpec
 from dfrto.setmem import ParamBox
+from dfrto.summary import read_results_csv, summarize
 from oracles import draw_truth
 
 
@@ -141,11 +143,14 @@ def test_batch_seed_truth_and_noise_come_from_one_seed_sequence():
     """The CSV seed of batch i is the first word of SeedSequence((master seed,
     i)); its truth and noise generators are seeded by that sequence's two
     spawned children."""
-    seed, truth, noise = harness._batch_seeds(31, 4)
+    cfg = ExperimentConfig(case="generalized", master_seed=31)
+    seed, p_true, noise = harness._batch_draw(cfg, 4, ProcessSpec())
     ss = np.random.SeedSequence((31, 4))
     assert seed == int(ss.generate_state(1)[0])
-    for got, want in zip((truth, noise), ss.spawn(2)):
-        assert got.generate_state(4).tolist() == want.generate_state(4).tolist()
+    truth, want_noise = ss.spawn(2)
+    assert p_true == get_case("generalized").draw_truth_gamma(
+        np.random.default_rng(truth), cfg.uncertainty_pct, ProcessSpec())
+    assert noise.generate_state(4).tolist() == want_noise.generate_state(4).tolist()
 
 
 def test_summary_pure_function_of_csv(tmp_path):

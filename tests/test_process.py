@@ -11,7 +11,7 @@ from dfrto.arc import integrate
 from dfrto.errors import ConfigError, DomainError, SimulationTimeout, StallError
 from dfrto.process import (GAMMA1_UNIT_SCALE, PlantParams, PlantState, ProcessSpec,
                            StopCondition, Trajectory, dilute, flux)
-from dfrto.policy import compute_switch_times, singular_control
+from dfrto.policy import plan_vectorized, singular_control
 from dfrto.strategies import NoiseStream, _rhs_factory
 from oracles import ode_integrate, rk4_integrate
 
@@ -266,13 +266,13 @@ def test_integrate_error_types(spec):
 def test_singular_arc_pins_flux_exactly(spec, case_name, request):
     p = request.getfixturevalue("case1" if case_name == "limiting_flux"
                                 else "case2").nominal_params(spec)
-    pi = compute_switch_times(p, spec)
-    arc1 = integrate(spec.initial_state(), 0.0, p, StopCondition.at_time(pi.t1), spec)
+    plan = plan_vectorized(p.as_array(), spec)
+    arc1 = integrate(spec.initial_state(), 0.0, p, StopCondition.at_time(plan["t1"]), spec)
     arc2 = integrate(arc1.final_state(), singular_control(p), p,
                      StopCondition.ratio_reached(spec.ratio_f), spec)
     q_star = p.p2 + p.p3
     assert np.max(np.abs(arc2.q - q_star)) <= 1e-12 * q_star
-    assert arc2.event_time == pytest.approx(pi.tf, abs=1e-12)
+    assert arc2.event_time == pytest.approx(plan["tf"], abs=1e-12)
 
 
 def test_dilute_examples():

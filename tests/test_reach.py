@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dfrto.errors import UnsupportedStructureError
-from dfrto.policy import compute_switch_times, plan_vectorized, singular_control
+from dfrto.policy import plan_vectorized, singular_control
 from dfrto.process import TOL_EVENT
 from dfrto.reach import project_switch_windows, project_u_band
 from dfrto.setmem import ParamBox
@@ -42,10 +42,10 @@ def test_u_band_formula_vs_sampling():
 
 def test_point_box_windows_collapse(p_nom1, spec):
     w = project_switch_windows(_point_box(p_nom1), spec)
-    pi = compute_switch_times(p_nom1, spec)
+    t1 = plan_vectorized(p_nom1.as_array(), spec)["t1"]
     assert w.t1[1] - w.t1[0] <= 2 * TOL_EVENT
-    assert w.t1[0] <= pi.t1 <= w.t1[1]
-    assert pi.t1 == pytest.approx(2.625, rel=0.10)
+    assert w.t1[0] <= t1 <= w.t1[1]
+    assert t1 == pytest.approx(2.625, rel=0.10)
     assert w.tf[1] - w.tf[0] <= 2 * TOL_EVENT
 
 

@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfrto import strategies
+from dfrto import harness, strategies
 from dfrto.arc import Arc, integrate
 from dfrto.cases import get_case
-from dfrto.harness import ExperimentConfig, _batch_seeds, monte_carlo
-from dfrto.policy import compute_switch_times, plan_vectorized, singular_control
+from dfrto.harness import ExperimentConfig, _batch_draw, monte_carlo
+from dfrto.policy import plan_vectorized, singular_control
 from dfrto.process import (TOL_EVENT, PlantParams, PlantState, ProcessSpec,
                            StopCondition)
 from dfrto.setmem import OnlineBoxEstimator, ParamBox, scenario_points
-from dfrto.strategies import (AdaptiveConfig, NoiseStream, RobustConfig,
-                              StrategyDecision, adaptive_strategy,
+from dfrto.strategies import (NoiseStream, RobustConfig, StrategyDecision, adaptive_strategy,
                               nominal_decision, nominal_strategy,
                               optimal_strategy, realized_batch_times,
                               robust_decision, robust_strategy)
@@ -104,7 +103,7 @@ def test_optimal_zero_regret(spec, p_nom1):
 def test_nominal_equals_optimal_at_midpoint(spec, case1):
     P0 = case1.prior_box(spec)
     p_mid = P0.mid()
-    res_n = nominal_strategy(P0, p_mid, spec)
+    res_n = nominal_strategy(p_mid, spec, nominal_decision(P0, spec))
     res_o = optimal_strategy(p_mid, spec)
     assert res_n.tf == pytest.approx(res_o.tf, abs=2 * TOL_EVENT)
     assert res_n.t1 == pytest.approx(res_o.t1, abs=2 * TOL_EVENT)
@@ -121,11 +120,11 @@ def test_nominal_decisions_match_reported_times(spec, case1, case2):
 
 def test_feasibility_by_feedback(spec, case2):
     # mismatched decisions still end exactly on target thanks to the ratio trigger
-    P0 = case2.prior_box(spec)
+    decision = nominal_decision(case2.prior_box(spec), spec)
     rng = np.random.default_rng(8)
     for _ in range(3):
         p_true = case2.draw_truth_gamma(rng, 0.10, spec)
-        res = nominal_strategy(P0, p_true, spec, record=True)
+        res = nominal_strategy(p_true, spec, decision, record=True)
         assert res.feasible
         end_c1 = res.trajectory.c1[-1]
         end_c2 = res.trajectory.c2[-1]
@@ -136,8 +135,9 @@ def test_feasibility_by_feedback(spec, case2):
 def test_all_strategies_tie_on_point_box(spec, p_nom2):
     P0 = _point_box(p_nom2)
     res_o = optimal_strategy(p_nom2, spec)
-    res_n = nominal_strategy(P0, p_nom2, spec)
-    res_r = robust_strategy(P0, p_nom2, spec, scenarios=p_nom2.as_array()[None, :])
+    res_n = nominal_strategy(p_nom2, spec, nominal_decision(P0, spec))
+    res_r = robust_strategy(p_nom2, spec, robust_decision(
+        P0, spec, scenarios=p_nom2.as_array()[None, :]))
     res_a = adaptive_strategy(P0, p_nom2, spec, _noise(1, spec))
     for res in (res_n, res_r, res_a):
         assert res.tf == pytest.approx(res_o.tf, abs=2e-3)
@@ -146,12 +146,12 @@ def test_all_strategies_tie_on_point_box(spec, p_nom2):
 
 
 def test_regret_nonnegative(spec, case1):
-    P0 = case1.prior_box(spec)
+    decision = nominal_decision(case1.prior_box(spec), spec)
     rng = np.random.default_rng(4)
     for _ in range(5):
         p_true = case1.draw_truth_gamma(rng, 0.10, spec)
         for res in (optimal_strategy(p_true, spec),
-                    nominal_strategy(P0, p_true, spec)):
+                    nominal_strategy(p_true, spec, decision)):
             assert res.regret >= -2 * TOL_EVENT
 
 
@@ -190,9 +190,9 @@ def test_adaptive_noise_free_is_optimal(case1):
     P0 = case1.prior_box(spec0)
     rng = np.random.default_rng(12)
     p_true = case1.draw_truth_gamma(rng, 0.10, spec0)
-    pi = compute_switch_times(p_true, spec0)
+    t1 = plan_vectorized(p_true.as_array(), spec0)["t1"]
     res = adaptive_strategy(P0, p_true, spec0, _noise(0, spec0))
-    assert abs(res.t1 - pi.t1) <= 2 * spec0.dt_h
+    assert abs(res.t1 - t1) <= 2 * spec0.dt_h
     assert res.regret <= 2e-4
     assert res.feasible
 
@@ -205,8 +205,7 @@ def test_adaptive_noise_free_case2_collapses_on_singular_arc(case2):
     P0 = case2.prior_box(spec0)
     rng = np.random.default_rng(12)
     p_true = case2.draw_truth_gamma(rng, 0.10, spec0)
-    res = adaptive_strategy(P0, p_true, spec0, _noise(0, spec0),
-                            cfg=AdaptiveConfig(record_boxes=True))
+    res = adaptive_strategy(P0, p_true, spec0, _noise(0, spec0), record=True)
     assert res.feasible
     assert res.regret <= 1e-3
     final_box = res.box_history[-1][1]
@@ -228,8 +227,7 @@ def test_adaptive_box_history_monotone(spec, case2):
     P0 = case2.prior_box(spec)
     rng = np.random.default_rng(9)
     p_true = case2.draw_truth_gamma(rng, 0.10, spec)
-    res = adaptive_strategy(P0, p_true, spec, _noise(3, spec),
-                            cfg=AdaptiveConfig(record_boxes=True))
+    res = adaptive_strategy(P0, p_true, spec, _noise(3, spec), record=True)
     boxes = [b for _, b in res.box_history]
     assert len(boxes) >= 3
     for prev, cur in zip(boxes, boxes[1:]):
@@ -260,9 +258,9 @@ def test_adaptive_segments_follow_their_recorded_control(spec, case2):
     11000 refresh the control on the last sample of a block when blocks start
     at 256 samples, which once recorded that block under the new control."""
     P0 = case2.prior_box(spec)
+    cfg = ExperimentConfig(case="generalized", master_seed=11000)
     for i in (16, 23):
-        _, truth, noise = _batch_seeds(11000, i)
-        p_true = case2.draw_truth_gamma(np.random.default_rng(truth), 0.10, spec)
+        _, p_true, noise = _batch_draw(cfg, i, spec)
         traj = adaptive_strategy(P0, p_true, spec,
                                  NoiseStream(np.random.default_rng(noise), spec.sigma),
                                  record=True).trajectory
@@ -285,32 +283,32 @@ def test_adaptive_segments_follow_their_recorded_control(spec, case2):
 def test_corner_plants(spec, case1):
     """Extreme prior-box corners stay honest: batches complete or report
     infeasibility/timeouts; nothing crashes or silently mis-controls."""
-    from dfrto.errors import UnsupportedStructureError
-
     P0 = case1.prior_box(spec)
+    decision = nominal_decision(P0, spec)
     lo, hi = P0.lo_arr(), P0.hi_arr()
     # ~5222 g/L effective limiting concentration: wildly fast plant
     stall_high = PlantParams(hi[0], lo[1], 0.0)
     res_a = adaptive_strategy(P0, stall_high, spec, _noise(2, spec))
     assert res_a.feasible and res_a.regret >= -2 * TOL_EVENT
-    res_n = nominal_strategy(P0, stall_high, spec)
+    res_n = nominal_strategy(stall_high, spec, decision)
     assert res_n.feasible or res_n.timed_out
     # ~261 g/L: the singular arc ends below c1_f, so the terminal state is
-    # unreachable under this arc structure; the planner refuses it and the
+    # unreachable under this arc structure; the plan shows it and the
     # executed batch reports infeasibility instead of faking success
     stall_low = PlantParams(lo[0], hi[1], 0.0)
-    with pytest.raises(UnsupportedStructureError):
-        compute_switch_times(stall_low, spec)
+    assert plan_vectorized(stall_low.as_array(), spec)["c1_end"] < spec.c1_f
     res_a = adaptive_strategy(P0, stall_low, spec, _noise(2, spec))
     assert not res_a.feasible and not res_a.timed_out
-    res_n = nominal_strategy(P0, stall_low, spec)
+    res_n = nominal_strategy(stall_low, spec, decision)
     assert not res_n.feasible and not res_n.timed_out
 
 
-def test_noise_stream_indexing():
-    ns = NoiseStream(np.random.default_rng(5), 0.1, block=16)
+def test_noise_stream_indexing(monkeypatch):
+    monkeypatch.setattr(NoiseStream, "BLOCK", 16)
+    ns = NoiseStream(np.random.default_rng(5), 0.1)
     a = ns.eta(np.arange(40))
-    b = NoiseStream(np.random.default_rng(5), 0.1, block=64).eta(np.arange(40))
+    monkeypatch.setattr(NoiseStream, "BLOCK", 64)
+    b = NoiseStream(np.random.default_rng(5), 0.1).eta(np.arange(40))
     assert np.array_equal(a, b)
     assert np.all(np.abs(a) <= 0.1)
     assert np.array_equal(ns.eta(np.array([3, 7])), a[[3, 7]])
@@ -360,8 +358,7 @@ def test_adaptive_screen_changes_no_box(seed, case_name):
             made.append(self)
 
     def run():
-        return adaptive_strategy(P0, p_true, spec, _noise(seed, spec),
-                                 cfg=AdaptiveConfig(record_boxes=True))
+        return adaptive_strategy(P0, p_true, spec, _noise(seed, spec), record=True)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(strategies, "Arc", _PointwiseArc)
@@ -385,15 +382,58 @@ def test_adaptive_screen_changes_no_box(seed, case_name):
 def test_adaptive_record_changes_no_ingested_bit(spec, case2):
     """record=True adds a full-block solve for the trajectory only: the rows
     ingested, the re-anchor states and so the boxes and times keep their
-    bits."""
+    bits.  The estimator's box after every ingest call is compared, since an
+    unrecorded batch keeps no box history."""
     P0 = case2.prior_box(spec)
+    cfg = ExperimentConfig(case="generalized", master_seed=11000)
+
+    class Recorded(OnlineBoxEstimator):
+        def add_rows(self, *args):
+            out = super().add_rows(*args)
+            boxes[-1].append(self.box)
+            return out
+
+        def add_rows_stop_on_change(self, *args):
+            out = super().add_rows_stop_on_change(*args)
+            boxes[-1].append(self.box)
+            return out
+
     for i in (16, 23):
-        _, truth, noise = _batch_seeds(11000, i)
-        p_true = case2.draw_truth_gamma(np.random.default_rng(truth), 0.10, spec)
-        res = [adaptive_strategy(P0, p_true, spec,
-                                 NoiseStream(np.random.default_rng(noise), spec.sigma),
-                                 cfg=AdaptiveConfig(record_boxes=True), record=record)
-               for record in (False, True)]
-        assert res[0].box_history == res[1].box_history
+        _, p_true, noise = _batch_draw(cfg, i, spec)
+        boxes, res = [], []
+        for record in (False, True):
+            boxes.append([])
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(strategies, "OnlineBoxEstimator", Recorded)
+                res.append(adaptive_strategy(
+                    P0, p_true, spec, NoiseStream(np.random.default_rng(noise), spec.sigma),
+                    record=record))
+        assert boxes[0] == boxes[1]
+        assert res[0].box_history is None
+        assert res[1].box_history[-1][1] == boxes[1][-1]
         assert (res[0].t1, res[0].tf) == (res[1].t1, res[1].tf)
         assert res[1].trajectory.event_time == res[1].tf
+
+
+@pytest.mark.parametrize("master_seed, batches, strategies_", [
+    (9, (2, 5, 7, 8, 16, 24, 26, 32, 33, 38), ("nominal", "robust")),
+    (2, (0,), ("nominal",)),
+    (19, (0,), ("optimal",)),
+])
+def test_recorded_batch_keeps_the_unrecorded_bits(spec, master_seed, batches,
+                                                  strategies_):
+    """`simulate` records the trajectory of batch 0; `montecarlo` does not.  A
+    recorded time stop used to take its end state from the Halley solve of the
+    whole sample grid, and these generalized batches then ended up to 1.6e-14 h
+    away from the unrecorded ones."""
+    cfg = ExperimentConfig(case="generalized", master_seed=master_seed,
+                           strategies=strategies_)
+    P0 = get_case("generalized").prior_box(spec)
+    decisions = harness.make_decisions(cfg, spec, P0)
+    for i in batches:
+        _, p_true, noise = _batch_draw(cfg, i, spec)
+        for strat in strategies_:
+            plain, recorded = (harness._run_strategy(strat, spec, P0, decisions, p_true,
+                                                     noise, record=record)
+                               for record in (False, True))
+            assert (recorded.t1, recorded.tf) == (plain.t1, plain.tf), (i, strat)
