@@ -25,23 +25,22 @@ Every routine broadcasts over numpy arrays: one arc per parameter row
 CLI, which import dfrto.process, load no scipy; a call-time import would cost
 it ~0.8 us a call (2-vCPU Xeon, Python 3.11).
 
-One plant at a few points is mostly numpy call overhead: a Halley pass over
-two points costs 35 to 70 numpy calls, and each np.where or np.errstate on a
-0-d value costs as much as the arithmetic of a whole arc.  So there is a path
-in Python floats too, and the shape of the inputs selects it:
-  - `_ArcIntegral.inverse` takes it for a scalar r and at most _FLOAT_POINTS
-    points (a tail block of the adaptive loop); F takes it one point at a time
-    (`_ArcIntegral._float`), and a call of F is the array form;
+One plant at one point is mostly numpy call overhead: a Halley pass costs 35
+to 70 numpy calls, and each np.where or np.errstate on a 0-d value costs as
+much as the arithmetic of a whole arc.  So there is a path in Python floats
+too, and the inputs select it:
   - `Arc` takes it when every plant input (t0, x0, v0, u, p1, p2, p3) is a
     scalar: it then holds Python floats, and `time_to`, `at_y`, `ratio_y`,
-    `ratio_event`, `y_bound` and `states` at one time return Python floats
-    (the stop of an `integrate` arc, the t1 of a one-plant plan).
-    With an array argument (a block of sample times) they take the array
-    form.
-Parameter rows and sample blocks stay on the array form.  The float path
-performs the array form's operations in the same order, with the same stopping
-rule (every point iterates until all points of the call have converged), and
-returns the same bits (a NaN's sign bit aside, which no comparison reads):
+    `ratio_event` and `states` at one time return Python floats (the stop of
+    an `integrate` arc, the t1 of a one-plant plan); `y_bound`, which only
+    `integrate` calls, exists only on this path.
+  - At one point, F and its inverse are `_ArcIntegral._float` and
+    `_ArcIntegral._inverse_float`.
+Any array argument (a block of sample times, parameter rows) takes the array
+form, and so does every call of an `_ArcIntegral`.  The float path performs
+the array form's operations in the same order, with the same stopping rule,
+and returns the same bits as the array form at that one point (a NaN's sign
+bit aside, which no comparison reads):
   - Python's + - * / are the IEEE operations numpy's loops perform; where
     numpy would divide by zero, the float path takes the branch the resulting
     inf or nan would have taken, or divides with _div.
@@ -76,10 +75,6 @@ _U_FROZEN = 1.0 - 1e-12   # controls at or above this run the u = 1 arc
 # underflows
 _ASYMPTOTIC_Z = 500.0
 _ASYMPTOTIC_TERMS = 9
-# a scalar r solves inverses of at most this many points in Python floats: it
-# breaks even with the array form at 12 to ~25 points (r = -0.3, 0.4,
-# 0, 1e-4) and takes 0.3 to 0.45 of its time at 8
-_FLOAT_POINTS = 8
 _INF, _NAN = float("inf"), float("nan")
 # plant inputs of these types put an Arc on the float path (numpy's float64 is
 # a float)
@@ -146,10 +141,9 @@ class _ArcIntegral:
     """Y -> F(Y, r) for fixed r, with the parts that depend only on r kept.
 
     F(Y, 0) = 1 - e^(-Y); every other r uses the exponential-integral form.
-    Calling it is the array form.  For a scalar r, `_float` evaluates one
-    point and `inverse` solves calls of at most _FLOAT_POINTS points in
-    Python floats (see the module docstring); the results are bitwise those
-    of the array form.
+    Calling it and `inverse` are the array form.  For a scalar r, `_float`
+    and `_inverse_float` evaluate F and its inverse at one point in Python
+    floats (see the module docstring), with the bits of the array form there.
     """
 
     def __init__(self, r):
@@ -193,9 +187,6 @@ class _ArcIntegral:
         iterates until all points of the call have converged.
         """
         tau = np.asarray(tau, dtype=float)
-        if self._rf is not None and tau.size <= _FLOAT_POINTS and np.ndim(y_hi) == 0:
-            his = [0.0 + float(y_hi)] * tau.size
-            return np.array(self._inverse_floats(tau.ravel().tolist(), his)).reshape(tau.shape)
         lo = np.zeros(np.broadcast(tau, self.r, y_hi).shape)
         return self._inverse_array(tau, lo, lo + y_hi)
 
@@ -220,61 +211,43 @@ class _ArcIntegral:
             y = y_new
         return y
 
-    def _inverse_floats(self, taus: list, his: list) -> list:
-        """inverse() for a scalar r on lists of Python floats: the same
-        iteration, point by point.  A zero divisor, where numpy would return
-        inf or nan, makes the Halley step non-finite, so it bisects instead."""
-        r = self._rf
-        n = len(taus)
-        los = [0.0] * n
-        ys = []
-        for tau, hi in zip(taus, his):
-            if tau <= 0.0:
-                ys.append(0.0)
-            elif tau < 1.0:
-                y0 = -float(np.log1p(-tau))   # the r = 0 solution, finite here
-                ys.append(y0 if 0.0 < y0 < hi else 0.5 * hi)
-            else:                             # y0 would be +inf or nan
-                ys.append(0.5 * hi)
+    def _inverse_float(self, tau: float, hi: float) -> float:
+        """inverse() at one point for a scalar r, in Python floats.  A zero
+        divisor, where numpy would return inf or nan, makes the Halley step
+        non-finite, so it bisects instead."""
+        r, lo = self._rf, 0.0
+        if tau <= 0.0:
+            y = 0.0
+        elif tau < 1.0:
+            y0 = -float(np.log1p(-tau))       # the r = 0 solution, finite here
+            y = y0 if 0.0 < y0 < hi else 0.5 * hi
+        else:                                 # y0 would be +inf or nan
+            y = 0.5 * hi
         for _ in range(100):
-            done = True
-            for i in range(n):
-                y = ys[i]
-                f = self._float(y) - taus[i]
-                if f > 0.0:
-                    his[i] = y
-                elif f < 0.0:
-                    los[i] = y
-                lo, hi = los[i], his[i]
-                y_new = _NAN
-                g = 1.0 - r * y
-                if g != 0.0:
-                    step = f * _exp(y) * g
-                    d = 1.0 - 0.5 * step * (r / g - 1.0)
-                    if d != 0.0:
-                        y_new = y - step / d
-                if not -_INF < y_new < _INF or y_new < lo or y_new > hi:
-                    y_new = 0.5 * (lo + hi)
-                if not abs(y_new - y) <= 1e-14 * (1.0 + abs(y)):
-                    done = False
-                ys[i] = y_new
-            if done:
-                break
-        return ys
+            f = self._float(y) - tau
+            if f > 0.0:
+                hi = y
+            elif f < 0.0:
+                lo = y
+            y_new = _NAN
+            g = 1.0 - r * y
+            if g != 0.0:
+                step = f * _exp(y) * g
+                d = 1.0 - 0.5 * step * (r / g - 1.0)
+                if d != 0.0:
+                    y_new = y - step / d
+            if not -_INF < y_new < _INF or y_new < lo or y_new > hi:
+                y_new = 0.5 * (lo + hi)
+            if abs(y_new - y) <= 1e-14 * (1.0 + abs(y)):
+                return y_new
+            y = y_new
+        return y
 
-    def limit(self):
-        """F(inf, r): +inf for r > 0 (the flux stalls at Y = 1/r), finite for
-        r <= 0 (c1 grows without bound in finite time); a Python float for a
-        scalar r."""
+    def limit(self) -> float:
+        """F(inf, r) for a scalar r: +inf for r > 0 (the flux stalls at Y =
+        1/r), finite for r <= 0 (c1 grows without bound in finite time)."""
         r = self._rf
-        if r is not None:
-            return _INF if r > 0.0 else 1.0 if r == 0.0 else self._consts()[1] / r
-        r = self.r
-        if np.all(r > 0.0):
-            return np.full(r.shape, np.inf)
-        with np.errstate(all="ignore"):
-            g0 = _scaled_expi(1.0 / r)
-            return np.where(r > 0.0, np.inf, np.where(r == 0.0, 1.0, g0 / r))
+        return _INF if r > 0.0 else 1.0 if r == 0.0 else self._consts()[1] / r
 
 
 def _log1p_rel(y: np.ndarray) -> np.ndarray:
@@ -377,16 +350,13 @@ class Arc:
             reached = (q0 > _Q_FLOOR) & (q_end > _Q_FLOOR)
             return np.where(reached, t, np.inf), self.x0 + 0.0 * Y, self.v0 - Y
 
-    def y_bound(self, t):
-        """For r <= 0, a Y that the arc (u < 1) reaches no earlier than time t,
-        to bracket states(t): there F(inf) - F(Y) <= e^(-Y).  The result is
-        +inf or nan where c1 has grown without bound by t, and -inf where
-        r > 0, where states does not use it."""
-        if self.scalar and isinstance(t, _SCALAR):
-            rest = self._F.limit() - _div(float(t) - self.t0, self.T)
-            return -_call(np.log, rest, rest > 0.0)
-        with np.errstate(all="ignore"):
-            return -np.log(self._F.limit() - (t - self.t0) / self.T)
+    def y_bound(self, t: float) -> float:
+        """For r <= 0, a Y that a float-path arc (u < 1) reaches no earlier
+        than time t, to bracket states(t): there F(inf) - F(Y) <= e^(-Y).  The
+        result is +inf or nan where c1 has grown without bound by t, and -inf
+        where r > 0, where states does not use it."""
+        rest = self._F.limit() - _div(float(t) - self.t0, self.T)
+        return -_call(np.log, rest, rest > 0.0)
 
     def states(self, t, y_hi):
         """(x, v) at times t >= t0.
@@ -422,7 +392,7 @@ class Arc:
         if self.q0 > _Q_FLOOR:
             r = self.r
             hi = 1.0 / r if r > 0.0 else y_hi
-            Y = self._F._inverse_floats([_div(s, self.T)], [0.0 + hi])[0]
+            Y = self._F._inverse_float(_div(s, self.T), 0.0 + hi)
         return self.x0 + Y, self.v0 - self.k * Y
 
     def state_bounds(self, t, y_hi):

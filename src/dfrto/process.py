@@ -33,6 +33,9 @@ GAMMA1_UNIT_SCALE = 100.0
 # the plant propagation itself is exact up to rounding.
 TOL_EVENT = 1e-6  # hours
 
+# Most sample times t_max/dt_h (360,000 by default); runs allocate per sample.
+MAX_SAMPLES = 10_000_000
+
 
 @dataclass(frozen=True)
 class PlantParams:
@@ -115,6 +118,9 @@ class ProcessSpec:
             raise ConfigError("dt_sample must be positive")
         if self.t_max <= 0.0:
             raise ConfigError("t_max must be positive")
+        if self.t_max / self.dt_h > MAX_SAMPLES:
+            raise ConfigError(f"t_max = {self.t_max} h at dt_sample = {self.dt_sample} s "
+                              f"gives more than {MAX_SAMPLES:,} samples")
 
     @property
     def mass(self) -> float:

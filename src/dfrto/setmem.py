@@ -16,11 +16,12 @@ with Bland's rule (deterministic, anti-cycling) working on the dual, which
 keeps the basis 3x3 regardless of how many measurements accumulate; each
 pivot inverts that basis explicitly in Python floats.  A half-space that
 holds on the whole current box is filtered out at ingest, since the box only
-shrinks and it can never bind.  Per-row `add` first screens the whole strip
-against a hull box of the current box and the cached LP optimizers: when the
-strip contains that hull, neither half-space can be stored or move a bound,
-which the screen proves with six float products and two sums (no tolerance,
-see `_WarmBoundLP.strip_is_inert`), and most samples of a batch stop there.
+shrinks and it can never bind.  One per-row routine takes every sample that
+may change the estimator.  On the LP it first screens the whole strip against
+a hull box of the current box and the cached LP optimizers: when the strip
+contains that hull, neither half-space can be stored or move a bound, which
+the screen proves with six float products and two sums (no tolerance, see
+`_WarmBoundLP.strip_is_inert`), and most samples of a batch stop there.
 """
 
 from __future__ import annotations
@@ -525,15 +526,17 @@ class OnlineBoxEstimator:
     the box only if it excludes a cached optimizer point, a half-space that
     holds on the whole box is not stored at all, and stored rows that the box
     has since made redundant are dropped, so the LP stays at a few hundred
-    columns.  Per-row `add`, bulk `add_rows` and `add_rows_stop_on_change`
-    give the same boxes bit for bit.  `n_lp_rebounds` counts the half-spaces
-    that moved a bound.
+    columns.  `n_lp_rebounds` counts the half-spaces that moved a bound.
 
-    In the LP phase `add` skips the LP for a measurement whose strip contains
-    the LP's hull box (`_WarmBoundLP.strip_is_inert`).  The screen passes
-    only where both half-spaces would be dropped unstored, so it changes no
-    box, column or counter.  The bulk paths scan blocks with `first_cut`
-    instead.
+    Every row that may change the estimator goes through one routine, `_row`:
+    on the polygon it skips a strip that holds on every vertex and clips by
+    any other; on the LP it skips a strip that contains the hull box
+    (`_WarmBoundLP.strip_is_inert`, which changes no box, column or counter)
+    and hands both half-spaces of any other to the LP.  `add` calls `_row`
+    directly; `add_rows` and `add_rows_stop_on_change` scan windows of rows
+    for the first one `_row` must see (off the arc or outside a vertex strip,
+    `first_cut` on the LP), take the rows before it in bulk and hand it to
+    `_row`.  So all three give the same boxes bit for bit.
     """
 
     # exact equalities (sigma = 0) make the LP duals degenerate; a tiny floor
@@ -586,25 +589,9 @@ class OnlineBoxEstimator:
         """Ingest one measurement; the same boxes as `add_rows` row by row."""
         if not (0.0 < m.c1 < math.inf and 0.0 < m.c2 < math.inf):
             raise DomainError("measurement concentrations must be positive and finite")
-        q = m.q_m
-        if not math.isfinite(q):
+        if not math.isfinite(m.q_m):
             raise DomainError("flux measurements must be finite")
-        a1, k = -math.log(m.c1), -math.log(m.c2)
-        if self._on_arc(1.0, k):
-            bu, bl = q + self.sigma, q - self.sigma
-            up, lo = bu + _CLIP_REL * (1.0 + abs(bu)), bl - _CLIP_REL * (1.0 + abs(bl))
-            for t, p in zip(self._lp.th, self._lp.p2):
-                r = t + a1 * p
-                if r > up or r < lo:
-                    self._cut_arc(a1, up, lo)
-                    break
-        else:
-            bu, bl = q + self.sigma, q - self.sigma
-            if not self._lp.strip_is_inert((1.0, a1, k), bl, bu):
-                a = np.array((1.0, a1, k))
-                self._process_moving_row(a, bu)
-                self._process_moving_row(-a, -bl)
-        self.n_measurements += 1
+        self._row(1.0, -math.log(m.c1), -math.log(m.c2), m.q_m)
         return self.box
 
     def inert(self, lc1, lc2, q) -> np.ndarray:
@@ -628,73 +615,73 @@ class OnlineBoxEstimator:
 
     def _ingest(self, A, q, stop: bool) -> tuple[int, bool]:
         A, q = self._checked(A, q)
-        i, changed = self._arc_prefix(A, q, stop)
-        # the LP phase scans windows of measurements that start at _SCAN0 and
-        # double while no strip can move a bound; a strip that may goes
-        # through the per-row path, as in `add`
-        n, w = A.shape[0], self._SCAN0
+        # windows of measurements that start at _SCAN0 and double while no row
+        # needs `_row`; each row that may goes through it, as in `add`
+        n, i, w, changed = A.shape[0], 0, self._SCAN0, False
         bu, bl = q + self.sigma, q - self.sigma
         while i < n and not changed:
             e = min(n, i + w)
-            j = i + self._lp.first_cut(A[i:e], bu[i:e], bl[i:e])
-            self._lp.append_rows(*self._halfspace_pairs(A[i:j], q[i:j], self.sigma))
+            j = i + self._clean_prefix(A[i:e], q[i:e], bu[i:e], bl[i:e])
             if j == e:
                 i, w = e, 2 * w
                 continue
-            moved = self._process_moving_row(A[j], bu[j])
-            moved |= self._process_moving_row(-A[j], -bl[j])
+            moved = self._row(*A[j].tolist(), float(q[j]))
             i, w = j + 1, self._SCAN0
             changed = stop and moved
-        self.n_measurements += i
         return i, changed
+
+    def _clean_prefix(self, A, q, bu, bl) -> int:
+        """Ingest the leading rows of a window that `_row` would take without a
+        cut or re-solve; returns their number.  The first row goes to `_row`."""
+        if self.n_measurements == 0:
+            return 0
+        lp = self._lp
+        if type(lp) is _WarmBoundLP:
+            j = lp.first_cut(A, bu, bl)
+            lp.append_rows(*self._halfspace_pairs(A[:j], q[:j], self.sigma))
+        else:
+            # a row per vertex: numpy reduces fast across rows, slowly along short
+            # ones; `_row` forms the same sums and cuts only outside its padded
+            # strip, which holds [bl, bu], so every row it would cut is a hit
+            r = np.array(lp.th)[:, None] + A[:, 1] * np.array(lp.p2)[:, None]
+            hit = ((A[:, 0] != 1.0) | (A[:, 2] != lp.k)           # off the arc
+                   | (r.max(axis=0) > bu) | (r.min(axis=0) < bl))
+            j = int(hit.argmax()) if hit.any() else bu.size
+        self.n_measurements += j
+        return j
+
+    def _row(self, a0: float, a1: float, k: float, q: float) -> bool:
+        """Ingest one measurement with regressor (a0, a1, k); True when the
+        box moved."""
+        bu, bl = q + self.sigma, q - self.sigma
+        moved = False
+        if self._on_arc(a0, k):
+            up, lo = bu + _CLIP_REL * (1.0 + abs(bu)), bl - _CLIP_REL * (1.0 + abs(bl))
+            for t, p in zip(self._lp.th, self._lp.p2):
+                r = t + a1 * p
+                if r > up or r < lo:
+                    moved = self._cut_arc(a1, up, lo)
+                    break
+        elif not self._lp.strip_is_inert((a0, a1, k), bl, bu):
+            a = np.array((a0, a1, k))
+            moved = self._process_moving_row(a, bu) | self._process_moving_row(-a, -bl)
+        self.n_measurements += 1
+        return moved
 
     # --- polygon phase ---
 
     def _on_arc(self, a0: float, k: float) -> bool:
         """Whether the polygon takes a row (a0, ., k); if not, the LP takes
-        over for good."""
+        over for good.  A polygon starts only on the estimator's first row."""
         lp = self._lp
         if type(lp) is _ArcPolygon:
             if a0 == 1.0 and k == lp.k:
                 return True
             self._lp = lp.lift()
-        elif a0 == 1.0 and self.n_measurements == 0 and lp.m == 6:
+        elif a0 == 1.0 and self.n_measurements == 0:
             self._lp = _ArcPolygon(self.prior, float(k))
             return True
         return False
-
-    def _arc_prefix(self, A: np.ndarray, q: np.ndarray, stop: bool) -> tuple[int, bool]:
-        """Ingest the leading rows the polygon takes; returns (rows consumed,
-        box changed), stopping after the first change when `stop`."""
-        n = A.shape[0]
-        if n == 0 or not self._on_arc(A[0, 0], A[0, 2]):
-            return 0, False
-        poly = self._lp
-        other = (A[:, 0] != 1.0) | (A[:, 2] != poly.k)
-        e = int(other.argmax()) if other.any() else n
-        a1 = A[:e, 1]
-        bu, bl = q[:e] + self.sigma, q[:e] - self.sigma
-        up = bu + _CLIP_REL * (1.0 + np.abs(bu))
-        lo = bl - _CLIP_REL * (1.0 + np.abs(bl))
-        # a row per vertex: numpy reduces fast across rows, slowly along short ones
-        th, p2 = np.array(poly.th)[:, None], np.array(poly.p2)[:, None]
-        i, w = 0, self._SCAN0
-        while i < e:
-            j = min(e, i + w)
-            r = th + a1[i:j] * p2                       # the same sums as in `add`
-            hit = (r.max(axis=0) > up[i:j]) | (r.min(axis=0) < lo[i:j])
-            if not hit.any():
-                i, w = j, 2 * w
-                continue
-            h = i + int(hit.argmax())
-            moved = self._cut_arc(float(a1[h]), float(up[h]), float(lo[h]))
-            if (moved and stop) or self._lp is not poly:
-                return h + 1, moved and stop
-            th, p2 = np.array(poly.th)[:, None], np.array(poly.p2)[:, None]
-            i, w = h + 1, self._SCAN0
-        if e < n:
-            self._on_arc(A[e, 0], A[e, 2])
-        return e, False
 
     def _cut_arc(self, a1: float, up: float, lo: float) -> bool:
         """Clip the polygon by lo <= theta + a1*p2 <= up; True if the box moved.

@@ -195,11 +195,18 @@ def _bits(a) -> bytes:
 @example(r=-0.3, ws=[0.7, 1.0 - 1e-12])
 @example(r=1e-5, ws=[0.5])
 @example(r=-1e-4, ws=[0.0, 0.25])
+# the two-point examples, one point each under its own bracket
+@example(r=0.4, ws=[0.0])
+@example(r=0.4, ws=[1.0 - 1e-12])
+@example(r=-0.3, ws=[0.7])
+@example(r=-0.3, ws=[1.0 - 1e-12])
+@example(r=-1e-4, ws=[0.0])
+@example(r=-1e-4, ws=[0.25])
 def test_float_kernel_is_bitwise_the_array_kernel(r, ws):
-    """F at each point, and its inverse on one or two points, take the
-    Python-float kernel; the array form must give the same bits."""
+    """F at each point, and its inverse at each point (under the bracket of
+    all the points), take the Python-float kernel; the array form at that one
+    point must give the same bits."""
     F = _ArcIntegral(r)
-    assert len(ws) <= arc_mod._FLOAT_POINTS
     w = np.array(ws)
     with np.errstate(all="ignore"):
         if r > 0.0:
@@ -214,11 +221,11 @@ def test_float_kernel_is_bitwise_the_array_kernel(r, ws):
         for Y in (w * y_hi, np.asarray(w[0] * y_hi)):
             floats = [F._float(y) for y in np.ravel(Y).tolist()]
             assert _bits(floats) == _bits(np.ravel(F(Y)))
-        for t in (tau, np.asarray(tau[0])):
-            lo = np.zeros(t.shape)
-            got = F.inverse(t, y_hi)
-            assert got.shape == t.shape
-            assert _bits(got) == _bits(F._inverse_array(t, lo, lo + y_hi))
+        for t in tau.tolist():
+            lo = np.zeros(())
+            got = F._inverse_float(t, 0.0 + y_hi)
+            assert type(got) is float
+            assert _bits(got) == _bits(F._inverse_array(np.asarray(t), lo, lo + y_hi))
 
 
 def _arc_results(arc, w: float, gap: float) -> list:

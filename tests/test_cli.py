@@ -169,6 +169,16 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert rc == 2
 
 
+def test_oversized_sample_grid_exits_2(tmp_path, capsys):
+    """A dt_sample that would grid ~9e9 samples fails as a configuration
+    error before any batch runs."""
+    cfg = tmp_path / "spec.json"
+    cfg.write_text(json.dumps({"dt_sample": 1e-6}))
+    assert run(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "t_max" in err and "dt_sample" in err
+
+
 @pytest.mark.parametrize("text", ['{"c1_0": "x"}', '{"sigma": NaN}', "[1, 2]"],
                          ids=["string", "nan", "not_object"])
 @pytest.mark.parametrize("argv", [["simulate", "--strategy", "adaptive"], ["reach"]],

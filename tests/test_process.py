@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from dfrto.arc import integrate
 from dfrto.errors import ConfigError, DomainError, SimulationTimeout, StallError
-from dfrto.process import (GAMMA1_UNIT_SCALE, PlantParams, PlantState, ProcessSpec,
-                           StopCondition, Trajectory, dilute, flux)
+from dfrto.process import (GAMMA1_UNIT_SCALE, MAX_SAMPLES, PlantParams, PlantState,
+                           ProcessSpec, StopCondition, Trajectory, dilute, flux)
 from dfrto.policy import plan_vectorized, singular_control
 from dfrto.strategies import NoiseStream, _rhs_factory
 from oracles import ode_integrate, rk4_integrate
@@ -334,6 +334,17 @@ def test_process_spec_json_roundtrip(tmp_path):
 def test_process_spec_validation(kw):
     with pytest.raises(ConfigError):
         ProcessSpec(**kw)
+
+
+def test_sample_grid_is_bounded():
+    """More than MAX_SAMPLES sample times up to t_max is a configuration
+    error naming both fields; the spec is only constructed, never run."""
+    assert ProcessSpec().t_max / ProcessSpec().dt_h == pytest.approx(360_000)
+    spec = ProcessSpec(dt_sample=0.05)
+    assert 0.5 * MAX_SAMPLES < spec.t_max / spec.dt_h < MAX_SAMPLES
+    for kw in ({"dt_sample": 1e-6}, {"t_max": 1e4}, {"t_max": 3e3, "dt_sample": 1e-3}):
+        with pytest.raises(ConfigError, match=r"t_max = .* dt_sample = .*10,000,000"):
+            ProcessSpec(**kw)
 
 
 @pytest.mark.parametrize("text, message", [

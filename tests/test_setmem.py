@@ -534,6 +534,30 @@ def test_noise_free_concentrate_stream_is_consistent(p_nom2, spec):
     assert w[0] <= abs(A[0, 2]) * w[2] + 1e-7
 
 
+def test_polygon_starts_only_on_the_first_row():
+    """A first row off the concentrate arc (a0 = 2) puts the estimator on the
+    LP for good, even when the rest of the call shares one c2; every ingest
+    path then agrees, and counts each row as it is consumed."""
+    A, q = _synthetic_rows(60, np.random.default_rng(8), c2_range=(3.0, 3.0))
+    A[0, 0] = 2.0
+    q[0] = A[0] @ TRUE_P
+    bulk = _est_from_rows(A, q, 0.1)
+    assert type(bulk._lp) is _WarmBoundLP
+    single = OnlineBoxEstimator(PRIOR, 0.1)
+    for i in range(len(q)):
+        single.add_rows(A[i:i + 1], q[i:i + 1])
+        assert type(single._lp) is _WarmBoundLP
+    assert single.box == bulk.box
+    blocks = OnlineBoxEstimator(PRIOR, 0.1)
+    start, stops = 0, 0
+    while start < len(q):
+        n_used, changed = blocks.add_rows_stop_on_change(A[start:], q[start:])
+        start += n_used
+        stops += changed and start < len(q)
+        assert blocks.n_measurements == start
+    assert stops >= 2 and blocks.box == bulk.box
+
+
 @pytest.mark.parametrize("path", ["add", "add_rows", "add_rows_stop_on_change"])
 def test_nonfinite_input_rejected_before_any_change(path):
     est = OnlineBoxEstimator(PRIOR, 0.1)
