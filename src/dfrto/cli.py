@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+
+import numpy as np
 
 from .cases import STRATEGIES, UNCERTAINTY_PCT_DEFAULT, get_case
 from .errors import (ConfigError, DfrtoError, ModelInvalidatedError,
                      SimulationTimeout, StallError, UnsupportedStructureError)
-from .process import ProcessSpec
+from .process import Measurement, ProcessSpec
 from .setmem import (OnlineBoxEstimator, ParamBox, read_measurements_csv,
                      write_boxes_csv)
 
@@ -54,19 +57,46 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    """The box after each row of a measurement CSV, in one pass over its array.
+
+    The regressors (1, -ln c1, -ln c2) are formed once with math.log, as
+    `add` forms them.  The first row, and each row after one that moved the
+    box, goes through `add`; from any other row `add_rows_stop_on_change`
+    takes the stream up to and including the next row that moves the box.
+    Both give the boxes of one `add` per row bit for bit, so the rows of a
+    block share the box in force before it, and its last row gets the box
+    after it.  Noise-free rows move the box almost every time, so they keep
+    to one `add` each and pay no block call per row.
+    """
     spec = _load_spec(args.config)
     case = get_case(args.case)
     prior = case.prior_box(spec, args.uncertainty)
-    measurements = read_measurements_csv(args.input)
-    if not measurements:
+    data = read_measurements_csv(args.input)
+    n = data.shape[0]
+    if n == 0:
         raise ConfigError(f"no measurements in {args.input!r}")
+    A = np.ones((n, 3))
+    A[:, 1] = list(map(math.log, data[:, 2].tolist()))
+    A[:, 2] = list(map(math.log, data[:, 3].tolist()))
+    np.negative(A[:, 1:], out=A[:, 1:])         # exact, so -math.log as in `add`
     est = OnlineBoxEstimator(prior, spec.sigma)
-    boxes = [est.add(m) for m in measurements]
-    write_boxes_csv(args.out, [m.t for m in measurements], boxes)
+    boxes, i, moved = [], 0, True
+    while i < n:
+        before = est.box
+        if moved:
+            est.add(Measurement(*data[i].tolist()))
+            used = 1
+        else:
+            used, _ = est.add_rows_stop_on_change(A[i:], data[i:, 1])
+        boxes += [before] * (used - 1)
+        boxes.append(est.box)
+        moved = est.box is not before      # only a move replaces the box
+        i += used
+    write_boxes_csv(args.out, data[:, 0].tolist(), boxes)
     final = est.box
     lo = [round(float(x), 6) for x in final.lo]
     hi = [round(float(x), 6) for x in final.hi]
-    print(f"{len(measurements)} measurements -> box lo={lo} hi={hi}")
+    print(f"{n} measurements -> box lo={lo} hi={hi}")
     return 0
 
 

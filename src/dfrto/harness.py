@@ -46,6 +46,9 @@ class ExperimentConfig:
         bad = set(self.strategies) - set(STRATEGIES)
         if bad:
             raise ConfigError(f"unknown strategies: {sorted(bad)}")
+        repeated = sorted({s for s in self.strategies if self.strategies.count(s) > 1})
+        if repeated:
+            raise ConfigError(f"strategies requested more than once: {repeated}")
         get_case(self.case)
 
 

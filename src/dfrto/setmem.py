@@ -722,8 +722,10 @@ class OnlineBoxEstimator:
 
 # --- CSV interfaces --------------------------------------------------------------
 
-def read_measurements_csv(path: str) -> list[Measurement]:
-    """Measurements of a CSV with header t,q_m,c1,c2, parsed in one pass.
+def read_measurements_csv(path: str) -> np.ndarray:
+    """The (n, 4) float array of a CSV with header t,q_m,c1,c2, parsed in one
+    pass; columns t, q_m, c1, c2, one row per measurement, (0, 4) when the
+    file has no data rows.
 
     Blank lines are skipped; a row that is not four finite numbers with
     positive concentrations c1, c2 raises ConfigError naming its line.
@@ -739,7 +741,7 @@ def read_measurements_csv(path: str) -> list[Measurement]:
         rows = (line for line in fh if line.strip())
         first = next(rows, None)
         if first is None:
-            return []
+            return np.empty((0, 4))
         try:
             data = np.loadtxt(itertools.chain([first], rows), delimiter=",",
                               comments=None, ndmin=2)
@@ -748,7 +750,7 @@ def read_measurements_csv(path: str) -> list[Measurement]:
     if (data is None or data.shape[1] != 4 or not np.isfinite(data).all()
             or not (data[:, 2:] > 0.0).all()):
         _raise_bad_row(path)
-    return list(map(Measurement, *data.T.tolist()))
+    return data
 
 
 def _raise_bad_row(path: str) -> NoReturn:

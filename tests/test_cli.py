@@ -93,6 +93,43 @@ def test_estimate_model_invalidated(tmp_path):
     rc = run(["estimate", "--input", str(src), "--out", str(out),
               "--case", "limiting_flux"])
     assert rc == 3
+    assert not out.exists()
+
+
+def test_estimate_model_invalidated_inside_a_block(tmp_path, capsys, monkeypatch):
+    """A contradiction after 400 consistent rows, with the c2 regressor moving
+    so the LP holds the box, is found by a block ingest and still exits 3."""
+    from dfrto.errors import ModelInvalidatedError
+    from dfrto.setmem import OnlineBoxEstimator
+
+    raised = []
+    block = OnlineBoxEstimator.add_rows_stop_on_change
+
+    def spy(self, A, q):
+        try:
+            return block(self, A, q)
+        except ModelInvalidatedError:
+            raised.append(A.shape[0])
+            raise
+
+    monkeypatch.setattr(OnlineBoxEstimator, "add_rows_stop_on_change", spy)
+    p, spec = PlantParams(20.7233, 3.0, 0.3), ProcessSpec()
+    rng = np.random.default_rng(3)
+    c1 = np.linspace(50.0, 150.0, 400).tolist()
+    c2 = np.concatenate([np.full(200, 50.0), np.geomspace(50.0, 5.0, 200)]).tolist()
+    q = [float(flux(x1, x2, p) + rng.uniform(-spec.sigma, spec.sigma))
+         for x1, x2 in zip(c1, c2)]
+    lines = [f"{i / 3600.0},{qi!r},{x1!r},{x2!r}" for i, (qi, x1, x2) in enumerate(zip(q, c1, c2))]
+    lines += [lines[-1]] * 3        # repeats move no box
+    lines.append(f"1,{q[-1] + 1.0!r},{c1[-1]!r},{c2[-1]!r}")
+    src = tmp_path / "late.csv"
+    src.write_text("t,q_m,c1,c2\n" + "\n".join(lines) + "\n")
+    out = tmp_path / "boxes.csv"
+    assert run(["estimate", "--input", str(src), "--out", str(out),
+                "--case", "generalized"]) == 3
+    assert "model invalidated" in capsys.readouterr().err
+    assert raised and raised[0] >= 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("row, rc, message", [
@@ -327,6 +364,14 @@ def test_summarize_short_row_is_config_error(tmp_path, capsys):
         fh.write("1,optimal,7,20.7,3.0\n")
     assert run(["summarize", "--input", str(out)]) == 2
     assert "mc.csv:3:" in capsys.readouterr().err
+
+
+def test_montecarlo_repeated_strategy_is_config_error(tmp_path, capsys):
+    out = tmp_path / "mc.csv"
+    assert run(["montecarlo", "--n", "2", "--strategies", "optimal,optimal,nominal",
+                "--out", str(out)]) == 2
+    assert "more than once: ['optimal']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_estimate_missing_input_is_config_error(tmp_path, capsys):

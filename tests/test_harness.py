@@ -88,6 +88,12 @@ def test_config_rejects_negative_seed_and_no_strategies():
         ExperimentConfig(strategies=())
 
 
+def test_config_rejects_repeated_strategy():
+    # a repeated strategy would write each of its rows twice and double its n
+    with pytest.raises(ConfigError, match=r"more than once: \['optimal'\]"):
+        ExperimentConfig(n_batches=2, strategies=("optimal", "optimal", "nominal"))
+
+
 def test_monte_carlo_near_point_box_ties(spec):
     cfg = ExperimentConfig(case="generalized", n_batches=1, master_seed=3,
                            uncertainty_pct=1e-9)

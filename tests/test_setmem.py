@@ -619,9 +619,8 @@ def test_gamma_scenarios_row_count(spec, case_name, rows):
 def test_measurement_csv_roundtrip(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("t,q_m,c1,c2\n0.5,4.25,60,50\n1,4.1,70,50\n")
-    ms = read_measurements_csv(str(path))
-    assert len(ms) == 2
-    assert ms[0] == Measurement(0.5, 4.25, 60.0, 50.0)
+    assert read_measurements_csv(str(path)).tolist() == [[0.5, 4.25, 60.0, 50.0],
+                                                         [1.0, 4.1, 70.0, 50.0]]
     out = tmp_path / "b.csv"
     write_boxes_csv(str(out), [0.5], [PRIOR])
     lines = out.read_text().strip().split("\n")
@@ -636,10 +635,8 @@ def test_measurement_csv_exact_and_blank_lines(tmp_path):
     lines[10:10] = ["", "   ", "\t"]
     path = tmp_path / "m.csv"
     path.write_text("t,q_m,c1,c2\n" + "\n".join(lines) + "\n\n")
-    ms = read_measurements_csv(str(path))
-    expect = [Measurement(*(float(x) for x in line.split(",")))
-              for line in lines if line.strip()]
-    assert ms == expect
+    expect = [[float(x) for x in line.split(",")] for line in lines if line.strip()]
+    assert read_measurements_csv(str(path)).tolist() == expect
 
 
 @pytest.mark.parametrize("row", ["0,4.2,50,50,1", "0,4.2,inf,50", "0,4.2,5_0,50",
@@ -715,6 +712,52 @@ def test_ingest_paths_agree_on_full_batch(full_batch):
     # the kept LP rows stay few: rows that no longer cut the box are dropped
     for est in (single, bulk, blocks):
         assert est._lp.m < 1000
+
+
+@pytest.mark.parametrize("noise_free", [False, True], ids=["sigma", "sigma0"])
+def test_estimate_pipeline_matches_per_row_add(full_batch, tmp_path, monkeypatch,
+                                               noise_free):
+    """`dfrto estimate` writes the bytes of one `add` per row, and on a noisy
+    stream it takes nearly every row in blocks."""
+    from dfrto.cli import main
+    from dfrto.process import flux
+    prior, sigma, p, ms, _, _ = full_batch
+    args = ["--case", "generalized"]
+    if noise_free:
+        ms = [m._replace(q_m=flux(m.c1, m.c2, p)) for m in ms[:1000]]
+        sigma = 0.0
+        (tmp_path / "spec.json").write_text('{"sigma": 0}')
+        args += ["--config", str(tmp_path / "spec.json")]
+    ref = OnlineBoxEstimator(prior, sigma)
+    expect = _boxes_csv_reference([m.t for m in ms], [ref.add(m) for m in ms])
+    src, out = tmp_path / "m.csv", tmp_path / "b.csv"
+    src.write_text("t,q_m,c1,c2\n" + "".join("%.17g,%.17g,%.17g,%.17g\n" % m for m in ms))
+
+    rows = {"add": 0, "add_rows_stop_on_change": 0}
+    add, block = OnlineBoxEstimator.add, OnlineBoxEstimator.add_rows_stop_on_change
+
+    def add_spy(self, m):
+        rows["add"] += 1
+        return add(self, m)
+
+    def block_spy(self, A, q):
+        used, changed = block(self, A, q)
+        rows["add_rows_stop_on_change"] += used
+        return used, changed
+
+    monkeypatch.setattr(OnlineBoxEstimator, "add", add_spy)
+    monkeypatch.setattr(OnlineBoxEstimator, "add_rows_stop_on_change", block_spy)
+    assert main(["estimate", "--input", str(src), "--out", str(out)] + args) == 0
+    got = out.read_text()
+    # the first differing line, not a diff of two megabyte strings
+    bad = next((i for i, (a, b) in enumerate(zip(got.splitlines(), expect.splitlines()))
+                if a != b), None)
+    assert bad is None, f"line {bad + 1}: {got.splitlines()[bad]!r}"
+    assert got == expect
+    assert sum(rows.values()) == len(ms)
+    if not noise_free:
+        assert rows["add_rows_stop_on_change"] > 0
+        assert rows["add"] < 0.01 * len(ms)
 
 
 def test_lp_starts_small_after_the_concentrate_arc(full_batch):
