@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from dfrto.cli import main
-from dfrto.errors import ConfigError
+from dfrto.errors import ConfigError, ModelInvalidatedError
 from dfrto.summary import read_results_csv
 from dfrto.process import PlantParams, ProcessSpec, flux
-from dfrto.setmem import ParamBox
+from dfrto.setmem import OnlineBoxEstimator, ParamBox
 
 
 def run(args):
@@ -99,9 +99,6 @@ def test_estimate_model_invalidated(tmp_path):
 def test_estimate_model_invalidated_inside_a_block(tmp_path, capsys, monkeypatch):
     """A contradiction after 400 consistent rows, with the c2 regressor moving
     so the LP holds the box, is found by a block ingest and still exits 3."""
-    from dfrto.errors import ModelInvalidatedError
-    from dfrto.setmem import OnlineBoxEstimator
-
     raised = []
     block = OnlineBoxEstimator.add_rows_stop_on_change
 

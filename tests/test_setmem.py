@@ -11,9 +11,10 @@ from scipy.optimize import linprog
 from dfrto import setmem
 from dfrto.arc import integrate
 from dfrto.cases import get_case
+from dfrto.cli import main
 from dfrto.errors import (ConfigError, DomainError, InfeasibleLPError,
                           ModelInvalidatedError)
-from dfrto.process import Measurement, ProcessSpec, StopCondition
+from dfrto.process import Measurement, ProcessSpec, StopCondition, flux
 from dfrto.setmem import (OnlineBoxEstimator, ParamBox, _WarmBoundLP,
                           read_measurements_csv, scenario_points, write_boxes_csv)
 from dfrto.strategies import optimal_strategy
@@ -719,8 +720,6 @@ def test_estimate_pipeline_matches_per_row_add(full_batch, tmp_path, monkeypatch
                                                noise_free):
     """`dfrto estimate` writes the bytes of one `add` per row, and on a noisy
     stream it takes nearly every row in blocks."""
-    from dfrto.cli import main
-    from dfrto.process import flux
     prior, sigma, p, ms, _, _ = full_batch
     args = ["--case", "generalized"]
     if noise_free:
