@@ -35,10 +35,6 @@ class ModelInvalidatedError(DfrtoError):
     """Measurement constraints are inconsistent with the assumed noise bound."""
 
 
-class InfeasibleLPError(DfrtoError):
-    """Linear program has an empty feasible region."""
-
-
 @contextlib.contextmanager
 def open_output(path: str):
     """`with open_output(path) as fh:` writes path; an OSError on opening,

@@ -15,9 +15,9 @@ On the adaptive singular arc the plant is propagated in closed form (arc.py),
 one Arc per singular control, until a box update moves the control.  Blocks
 of samples are enclosed without a Halley pass (Arc.state_bounds) and screened
 against the estimator's hull box (OnlineBoxEstimator.inert); only the samples
-that may move or enter the LP (about one in ten) get exact states.  An
-adaptive generalized batch costs about 25 ms so, against 36 ms with every
-state exact (in-process, 2-vCPU Xeon).  No step size or event tolerance is
+that may cut its polytope (about one in ten) get exact states.  An adaptive
+generalized batch costs about 18 ms so, against 42 ms with every state exact
+(in-process, 2-vCPU Xeon, 20 truths).  No step size or event tolerance is
 involved.  realized_batch_times and arc.integrate, which runs the decisions of
 the open-loop strategies, use the same arc formulas.  Only the adaptive
 concentrate phase still solves an ODE; `solve_ivp` imports scipy.integrate

@@ -1,7 +1,8 @@
 """Independent numerical oracles used only by the test suite.
 
 Deliberately naive implementations: fixed-step RK4, an event-detecting
-adaptive ODE solve, dense grid feasibility scans, and vertex enumeration.
+adaptive ODE solve, dense grid feasibility scans, vertex enumeration, and an
+exact-rational bound certificate.
 They must not share code with the package.  The helpers at the end are the
 exception: they replay a committed policy with the package itself, or draw
 test truths, and exist only for the tests.
@@ -12,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -191,6 +193,71 @@ def lp_vertex_enumeration(c, G, h, prior):
             if best is None or val < best[1]:
                 best = (x, val)
     return best
+
+
+def _solve_exact(M, rhs):
+    """The solution of M x = rhs in Fractions, or None when M is singular."""
+    n = len(M)
+    R = [list(row) + [r] for row, r in zip(M, rhs)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if R[r][c] != 0), None)
+        if pivot is None:
+            return None
+        R[c], R[pivot] = R[pivot], R[c]
+        for r in range(n):
+            if r != c and R[r][c] != 0:
+                f = R[r][c] / R[c][c]
+                R[r] = [x - f * y for x, y in zip(R[r], R[c])]
+    return [R[i][n] / R[i][i] for i in range(n)]
+
+
+def certify_bound(facets, halfspaces, prior, j, sign, box):
+    """Exact certificate of one box bound: max p_j (sign = +1) or min p_j
+    (sign = -1) over the half-spaces a.p <= b in `halfspaces` and the prior
+    box is at most box.hi[j] (at least box.lo[j]).
+
+    `facets` are the half-spaces (a0, a1, a2, b) through the vertex that
+    achieves the bound.  A coordinate with zero prior width is fixed at its
+    prior value.  The routine looks for d of the facets (d free coordinates)
+    whose vertex x has multipliers lam >= 0 with sum(lam_i a_i) = sign*e_j,
+    so x is optimal over those d half-spaces, then checks exactly that x
+    satisfies every half-space and lies in the box.  Every number is the
+    Fraction of its float.  Returns x; raises AssertionError otherwise.
+    """
+    free = [i for i in range(3) if prior.lo[i] < prior.hi[i]]
+    fixed = {i: Fraction(prior.lo[i]) for i in range(3) if i not in free}
+    exact = [([Fraction(v) for v in f[:3]], Fraction(f[3])) for f in facets]
+    target = [Fraction(sign) if i == j else Fraction(0) for i in free]
+    for combo in itertools.combinations(exact, len(free)):
+        M = [[a[i] for i in free] for a, _ in combo]
+        rhs = [b - sum(a[i] * c for i, c in fixed.items()) for a, b in combo]
+        y = _solve_exact(M, rhs)
+        if y is None:
+            continue
+        lam = _solve_exact([list(col) for col in zip(*M)], target)
+        if lam is None or min(lam, default=0) < 0:
+            continue
+        x = [Fraction(0)] * 3
+        for i, v in zip(free, y):
+            x[i] = v
+        for i, c in fixed.items():
+            x[i] = c
+        break
+    else:
+        raise AssertionError(f"no {len(free)} facets certify bound {j} ({sign:+d})")
+    box_rows = [([Fraction(float(i == k)) for i in range(3)], Fraction(prior.hi[k]))
+                for k in range(3)]
+    box_rows += [([-Fraction(float(i == k)) for i in range(3)], -Fraction(prior.lo[k]))
+                 for k in range(3)]
+    for a, b in itertools.chain(
+            (([Fraction(v) for v in h[:3]], Fraction(h[3])) for h in halfspaces), box_rows):
+        if a[0] * x[0] + a[1] * x[1] + a[2] * x[2] > b:
+            raise AssertionError(f"bound {j} ({sign:+d}): its vertex violates a half-space")
+    for i in range(3):
+        if not Fraction(box.lo[i]) <= x[i] <= Fraction(box.hi[i]):
+            raise AssertionError(f"bound {j} ({sign:+d}): its vertex leaves the box in p{i + 1}"
+                                 f" by {float(max(Fraction(box.lo[i]) - x[i], x[i] - Fraction(box.hi[i]))):.3g}")
+    return x
 
 
 # --- policy helpers that only the tests use ------------------------------------

@@ -97,8 +97,8 @@ def test_estimate_model_invalidated(tmp_path):
 
 
 def test_estimate_model_invalidated_inside_a_block(tmp_path, capsys, monkeypatch):
-    """A contradiction after 400 consistent rows, with the c2 regressor moving
-    so the LP holds the box, is found by a block ingest and still exits 3."""
+    """A contradiction after 400 consistent rows, half of them on a moving
+    c2 regressor, is found by a block ingest and still exits 3."""
     raised = []
     block = OnlineBoxEstimator.add_rows_stop_on_change
 

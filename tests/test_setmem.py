@@ -12,10 +12,9 @@ from dfrto import setmem
 from dfrto.arc import integrate
 from dfrto.cases import get_case
 from dfrto.cli import main
-from dfrto.errors import (ConfigError, DomainError, InfeasibleLPError,
-                          ModelInvalidatedError)
+from dfrto.errors import ConfigError, DomainError, ModelInvalidatedError
 from dfrto.process import Measurement, ProcessSpec, StopCondition, flux
-from dfrto.setmem import (OnlineBoxEstimator, ParamBox, _WarmBoundLP,
+from dfrto.setmem import (OnlineBoxEstimator, ParamBox, _Polytope,
                           read_measurements_csv, scenario_points, write_boxes_csv)
 from dfrto.strategies import optimal_strategy
 from oracles import grid_feasible_box, lp_vertex_enumeration
@@ -44,6 +43,17 @@ def _halfspaces(A, q, sigma):
     return np.vstack([A, -A]), np.concatenate([q + sigma, -(q - sigma)])
 
 
+def _extreme_points(est) -> np.ndarray:
+    """The vertices at min p1, max p1, ..., max p3, one row each."""
+    poly = est._poly
+    return np.array([poly.verts[i] for i in poly.extremes()])
+
+
+def _state(poly) -> tuple:
+    """Everything a cut may change: vertices, their facets and the facet rows."""
+    return poly.verts, poly.masks, list(poly.rows), poly.hull
+
+
 def _linprog_box(A, q, sigma, prior):
     G, h = _halfspaces(A, q, sigma)
     bounds = list(zip(prior.lo, prior.hi))
@@ -69,18 +79,14 @@ def test_add_measurement_counts():
     assert est.n_measurements == 1
     est.add(Measurement(1.0, 7.2, 60.0, 50.0))
     assert est.n_measurements == 2
-    # two half-spaces per measurement
-    G, h = OnlineBoxEstimator._halfspace_pairs(np.ones((2, 3)), np.zeros(2), 0.1)
-    assert G.shape == (4, 3) and h.shape == (4,)
 
 
 def test_unit_concentration_bounds_p1_alone():
-    G, h = OnlineBoxEstimator._halfspace_pairs(np.array([[1.0, -math.log(1.0), -math.log(1.0)]]),
-                                               np.array([20.5]), 0.05)
+    G, h = _halfspaces(np.array([[1.0, -math.log(1.0), -math.log(1.0)]]), np.array([20.5]),
+                       0.05)
     assert np.allclose(G[:, 1:], 0.0)
     est = OnlineBoxEstimator(PRIOR, 0.05)
     box = est.add(Measurement(0.0, 20.5, 1.0, 1.0))
-    assert est._lp.k == 0.0               # c2 = 1: the polygon's theta is p1
     assert box.lo[0] == pytest.approx(20.45) and box.hi[0] == pytest.approx(20.55)
     assert (box.lo[1], box.hi[1]) == (PRIOR.lo[1], PRIOR.hi[1])
     assert (box.lo[2], box.hi[2]) == (PRIOR.lo[2], PRIOR.hi[2])
@@ -94,12 +100,12 @@ def test_frozen_c2_gives_rank_two():
     assert np.linalg.matrix_rank(A) == 2
 
 
-# --- the bound LP -----------------------------------------------------------------
+# --- the bound LPs, solved by the feasible polytope ----------------------------------
 
 def test_lp_box_only():
     est = OnlineBoxEstimator(PRIOR, 0.1)
     assert est.box is PRIOR
-    x = est._lp.x_opt
+    x = _extreme_points(est)
     assert x[1, 0] == pytest.approx(PRIOR.hi[0])    # max p1
     assert x[0, 0] == pytest.approx(PRIOR.lo[0])    # min p1
 
@@ -116,9 +122,10 @@ def _random_strips(rng):
 
 def _integer_strips(rng):
     """Strips with coefficients in {-1, 0, 1} and integer centres: many of
-    them meet at each vertex, so the pivots see degenerate ratio-test ties."""
+    them meet at each vertex, which the adjacency test sees as degenerate
+    vertices."""
     A = rng.integers(-1, 2, size=(10, 3)).astype(float)
-    A[0, 0] = 0.0                       # no polygon: the LP takes every row
+    A[0, 0] = 0.0                       # a first row without p1
     return A, rng.integers(-1, 2, size=10).astype(float), 1.0
 
 
@@ -147,16 +154,15 @@ def test_lp_vs_vertex_enumeration():
 
 
 def test_strip_holding_on_the_whole_box_is_not_stored():
-    """A strip that contains the whole current box adds no LP column on any
-    ingest path (fails where such rows are appended and dropped later)."""
+    """A strip that contains the whole current box changes the polytope on no
+    ingest path."""
     prior = ParamBox((20.6, 2.0, 0.0), (20.75, 4.0, 1.0))     # p1 narrower than 2*sigma
     A, q = _synthetic_rows(40, np.random.default_rng(3))
     strip = np.array([[1.0, 0.0, 0.0]]), np.array([20.675])  # 20.575 <= p1 <= 20.775
 
     def ingest(est):
         est.add_rows(A, q)
-        assert not hasattr(est._lp, "k")                   # the LP, not the polygon
-        return est._lp.m, est.box
+        return _state(est._poly), est.box
 
     paths = {
         "add": lambda est: est.add(Measurement(0.0, 20.675, 1.0, 1.0)),
@@ -165,50 +171,37 @@ def test_strip_holding_on_the_whole_box_is_not_stored():
     }
     for name, path in paths.items():
         est = OnlineBoxEstimator(prior, 0.1)
-        m, box = ingest(est)
+        state, box = ingest(est)
         path(est)
-        assert est._lp.m == m, name
+        assert _state(est._poly) == state, name
         assert est.box == box and est.n_measurements == 41, name
 
 
 def test_lp_stores_exactly_the_rows_that_cut_the_box():
-    """A half-space that cuts the box but excludes no cached optimizer is kept
-    for later re-solves; one that holds on the whole box is not."""
-    a = np.array([1.0, -1.0, 0.0])      # p1 - p2: 23 at most on PRIOR, 21 at its optimizers
-    appends = {"process_row": lambda lp, b: lp.process_row(a, b),
-               "append_rows": lambda lp, b: lp.append_rows(a[None, :], np.array([b]))}
-    for name, append in appends.items():
-        lp = _WarmBoundLP(PRIOR)
-        append(lp, 23.5)
-        assert lp.m == 6, name
-        append(lp, 22.0)
-        assert lp.m == 7, name
-        assert np.array_equal(np.concatenate(lp.bounds()), PRIOR.lo + PRIOR.hi), name
-
-
-def test_lp_infeasible_distinct_from_unbounded():
-    lp = _WarmBoundLP(PRIOR)
-    lp.process_row(np.array([1.0, 0.0, 0.0]), 16.0)     # p1 <= 16
-    # a feasible LP is never unbounded: the prior box bounds every objective
-    lo, hi = lp.bounds()
-    assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
-    assert lo.tolist() == [15.0, 2.0, 0.0]
-    assert hi.tolist() == pytest.approx([16.0, 4.0, 1.0], rel=1e-9)
-    with pytest.raises(InfeasibleLPError):
-        lp.process_row(np.array([-1.0, 0.0, 0.0]), -17.0)  # and p1 >= 17
+    """A half-space that cuts a vertex off becomes a facet, even where the box
+    keeps its bounds; one that holds on every vertex adds nothing."""
+    a = (1.0, -1.0, 0.0)                # p1 - p2: 23 at most on PRIOR
+    poly = _Polytope(PRIOR)
+    before = _state(poly)
+    assert not poly.cut(*a, 23.5) and not poly.cut(*a, 23.0)    # 23.0 only touches
+    assert _state(poly) == before
+    assert poly.cut(*a, 22.0)           # cuts the edge p1 = 25, p2 = 2 off
+    assert len(poly.verts) == 10 and poly.rows[6] == (*a, 22.0)
+    assert sum(m >> 6 & 1 for m in poly.masks) == 4
+    assert poly.hull == before[3]       # the vertices keep their extent
 
 
 def test_lp_determinism():
     rng = np.random.default_rng(9)
     A, q = _synthetic_rows(50, rng)
     e1, e2 = _est_from_rows(A, q, 0.1), _est_from_rows(A, q, 0.1)
-    assert e1.box == e2.box and np.array_equal(e1._lp.x_opt, e2._lp.x_opt)
+    assert e1.box == e2.box and _state(e1._poly) == _state(e2._poly)
 
 
-# --- the LP phase: hull screen and marginal cuts ------------------------------------
+# --- the hull screen and marginal cuts --------------------------------------------
 
 def _lp_state(seed: int, n: int, sigma: float, prior: ParamBox = PRIOR):
-    """An estimator in its LP phase after n >= 2 rows through a random truth."""
+    """An estimator after n >= 2 rows through a random truth."""
     rng = np.random.default_rng(seed)
     truth = rng.uniform(prior.lo, prior.hi)
     c1 = np.exp(rng.uniform(np.log(50.0), np.log(400.0), n))
@@ -218,7 +211,6 @@ def _lp_state(seed: int, n: int, sigma: float, prior: ParamBox = PRIOR):
         a1, k = -math.log(x1), -math.log(x2)
         q = truth[0] + a1 * truth[1] + k * truth[2] + rng.uniform(-sigma, sigma)
         est.add(Measurement(0.0, q, x1, x2))
-    assert type(est._lp) is _WarmBoundLP
     return est, rng
 
 
@@ -234,10 +226,13 @@ def _hull_sums(a, lo, hi) -> tuple[float, float]:
     return up[0] + up[1] + up[2], down[0] + down[1] + down[2]
 
 
-def _hull_of(lp) -> tuple:
-    """The hull box of [lo, hi] and the cached optimizers, from scratch."""
-    return tuple(np.minimum(lp.lo, lp.x_opt.min(axis=0)).tolist()
-                 + np.maximum(lp.hi, lp.x_opt.max(axis=0)).tolist())
+def _hull_of(poly) -> tuple:
+    """The vertices' min/max widened by _CLIP_REL*(1+|x|) and rounded
+    outward, from scratch."""
+    V, pad = np.array(poly.verts), setmem._CLIP_REL
+    lo, hi = V.min(axis=0), V.max(axis=0)
+    return tuple(np.nextafter(lo - pad * (1.0 + np.abs(lo)), -np.inf).tolist()
+                 + np.nextafter(hi + pad * (1.0 + np.abs(hi)), np.inf).tolist())
 
 
 def _outcome(est, ingest):
@@ -246,16 +241,15 @@ def _outcome(est, ingest):
         ingest(est)
     except ModelInvalidatedError:
         return "invalidated"
-    lp = est._lp
-    return (est.box, lp.m, lp.x_opt.tolist(), lp.hull, est.n_lp_rebounds, est.n_measurements)
+    return (est.box, _state(est._poly), est.n_lp_rebounds, est.n_measurements)
 
 
 def _two_step(a, q):
-    """`add`'s LP branch without the screen: both half-spaces go to the LP."""
+    """`add` without the screens: both padded half-spaces cut the polytope."""
     def ingest(est):
-        row = np.array(a)
-        est._process_moving_row(row, q + est.sigma)
-        est._process_moving_row(-row, -(q - est.sigma))
+        bu, bl = q + est.sigma, q - est.sigma
+        est._cut(*a, bu + setmem._CLIP_REL * (1.0 + abs(bu)))
+        est._cut(*(-x for x in a), -(bl - setmem._CLIP_REL * (1.0 + abs(bl))))
         est.n_measurements += 1
     return ingest
 
@@ -267,18 +261,17 @@ def _two_step(a, q):
        st.sampled_from([(NARROW, 1.0), (PRIOR, 0.5), (PRIOR, 0.05)]),
        st.floats(0.05, 0.95), st.integers(-2, 2))
 def test_screened_add_matches_the_two_step_path(kind, seed, n, prior_sigma, frac, ulps):
-    """`add` skips the LP for a strip only where both half-spaces would be
+    """`add` skips the cut for a strip only where both half-spaces would be
     no-ops: strips tangent to the hull box (to the ulp), strips that contain
-    it, strips that cut the box without moving a bound, and strips that move
-    one from either side leave the same state as the two
-    `_process_moving_row` steps."""
+    it, strips that cut the box but no vertex, and strips that cut vertices
+    from either side leave the same state as the two `_cut` steps."""
     est, rng = _lp_state(seed, n, prior_sigma[1], prior_sigma[0])
-    lp = est._lp
+    poly = est._poly
     c1, c2 = (float(x) for x in np.exp(rng.uniform(np.log([50.0, 0.5]), np.log([400.0, 50.0]))))
     a = (1.0, -math.log(c1), -math.log(c2))
-    s_hi, s_lo = _hull_sums(a, lp.hull[:3], lp.hull[3:])
-    box_hi = _hull_sums(a, lp.lo.tolist(), lp.hi.tolist())[0]
-    vals = [_dot(a, x) for x in lp.x_opt.tolist()]
+    s_hi, s_lo = _hull_sums(a, poly.hull[:3], poly.hull[3:])
+    box_hi = _hull_sums(a, est.box.lo, est.box.hi)[0]
+    vals = [_dot(a, x) for x in poly.verts]
     v_hi, v_lo = max(vals), min(vals)
     s = est.sigma
     q = {"hull_hi": s_hi - s, "hull_lo": s_lo + s, "inside": s_lo + frac * (s_hi - s_lo),
@@ -294,66 +287,65 @@ def test_screened_add_matches_the_two_step_path(kind, seed, n, prior_sigma, frac
 def test_screen_is_exact_at_tangency():
     """A strip whose bound equals the hull sum is inert; one ulp inside is not."""
     est, _ = _lp_state(1, 20, 1.0, NARROW)
-    lp = est._lp
+    poly = est._poly
     a = (1.0, -math.log(120.0), -math.log(3.0))
-    s_hi, s_lo = _hull_sums(a, lp.hull[:3], lp.hull[3:])
+    s_hi, s_lo = _hull_sums(a, poly.hull[:3], poly.hull[3:])
     assert s_hi - s_lo < 2.0               # the strip is wider than the hull
-    assert lp.strip_is_inert(a, s_hi - 2.0, s_hi)
-    assert not lp.strip_is_inert(a, s_hi - 2.0, math.nextafter(s_hi, -math.inf))
-    assert lp.strip_is_inert(a, s_lo, s_lo + 2.0)
-    assert not lp.strip_is_inert(a, math.nextafter(s_lo, math.inf), s_lo + 2.0)
-    assert not lp.strip_is_inert(a, -math.inf, math.inf * 0.0)   # nan: not inert
+    assert poly.strip_is_inert(a, s_hi - 2.0, s_hi)
+    assert not poly.strip_is_inert(a, s_hi - 2.0, math.nextafter(s_hi, -math.inf))
+    assert poly.strip_is_inert(a, s_lo, s_lo + 2.0)
+    assert not poly.strip_is_inert(a, math.nextafter(s_lo, math.inf), s_lo + 2.0)
+    assert not poly.strip_is_inert(a, -math.inf, math.inf * 0.0)   # nan: not inert
 
 
 def test_screen_covers_optimizers_outside_the_box():
-    """The duals meet the prior's facets only to the pivoting tolerance, so a
-    cached optimizer may sit just outside [lo, hi]; the screen bounds it
-    through the hull box, and a strip that holds on the box but excludes
-    that optimizer still re-solves."""
+    """The box is nested into the earlier boxes, so a vertex may sit just
+    outside it; the screen bounds it through the hull box, and a strip that
+    holds on the box but excludes that vertex still cuts."""
     est, _ = _lp_state(1, 20, 1.0, NARROW)
-    lp = est._lp
+    poly = est._poly
     c1, c2 = 120.0, 3.0
     a = (1.0, -math.log(c1), -math.log(c2))
-    box_hi, box_lo = _hull_sums(a, lp.lo.tolist(), lp.hi.tolist())
-    corner = [h if ai >= 0.0 else l for ai, l, h in zip(a, lp.lo.tolist(), lp.hi.tolist())]
-    lp.x_opt[1] = [corner[0] + 1e-8, corner[1], corner[2]]     # max p1, 1e-8 outside
-    lp._refresh_hull()
+    box_hi, box_lo = _hull_sums(a, est.box.lo, est.box.hi)
+    corner = [h if ai >= 0.0 else l for ai, l, h in zip(a, est.box.lo, est.box.hi)]
+    i = poly.extremes()[1]                  # max p1, moved 1e-8 outside the box
+    poly.verts[i] = (corner[0] + 1e-8, corner[1], corner[2])
+    poly._refresh_hull()
     q = box_hi - est.sigma + 1e-12
     assert q - est.sigma <= box_lo and q + est.sigma >= box_hi   # holds on the box
     screened = _outcome(copy.deepcopy(est), lambda e: e.add(Measurement(0.0, q, c1, c2)))
     assert screened == _outcome(copy.deepcopy(est), _two_step(a, q))
-    assert screened[4] == est.n_lp_rebounds + 1
+    assert screened[1] != _state(poly)
 
 
 def test_hull_follows_the_box_and_the_optimizers():
-    """The hull box is the min/max of the box and the cached optimizers after
-    the polygon lifts, after every re-solve and after a drop of redundant rows."""
+    """The hull box is the vertices' min/max rounded outward after every cut
+    and after a rebuild, and holds the box."""
     rng = np.random.default_rng(31)
     A, q = _synthetic_rows(300, rng)
-    A[:40, 2] = A[0, 2]                    # a polygon phase first
+    A[:40, 2] = A[0, 2]                    # a concentrate arc first
     q[:40] = A[:40] @ TRUE_P + rng.uniform(-0.1, 0.1, 40)
     est = OnlineBoxEstimator(PRIOR, 0.1)
-    est.add_rows(A[:41], q[:41])           # the 41st row lifts the polygon
-    assert type(est._lp) is _WarmBoundLP
-    assert est._lp.hull == _hull_of(est._lp) != PRIOR.lo + PRIOR.hi
+    est.add_rows(A[:41], q[:41])
+    assert est._poly.hull == _hull_of(est._poly) != PRIOR.lo + PRIOR.hi
     moves = 0
     for a, qi in zip(A[41:], q[41:]):
         before = est.n_lp_rebounds
         est.add(Measurement(0.0, qi, math.exp(-a[1]), math.exp(-a[2])))
         moves += est.n_lp_rebounds > before
-        assert est._lp.hull == _hull_of(est._lp)
+        assert est._poly.hull == _hull_of(est._poly)
+        assert ParamBox(est._poly.hull[:3], est._poly.hull[3:]).contains(est.box.lo_arr())
+        assert ParamBox(est._poly.hull[:3], est._poly.hull[3:]).contains(est.box.hi_arr())
     assert moves > 5
-    est._lp._drop_redundant()
-    assert est._lp.hull == _hull_of(est._lp)
-    est._lp.resolve(range(6))
-    assert est._lp.hull == _hull_of(est._lp)
+    poly = est._poly.rebuilt()
+    assert poly.hull == _hull_of(poly)
 
 
 def test_marginal_cuts_agree_on_every_ingest_path():
-    """Rows that exclude the cached optimizer with the largest a.x by 2e-10
-    of (1 + |b|), above the 1e-11 at which `process_row` re-solves, move the
-    same bounds on the per-row, bulk and stop-on-change paths (a bulk scan
-    with a much coarser threshold misses them)."""
+    """Rows that exclude the vertex with the largest a.x by 2e-13 of (1 + |b|),
+    above the 1e-13 pad of `_row`, cut the same vertices on the per-row,
+    bulk and stop-on-change paths (a bulk scan with a coarser threshold
+    misses them)."""
     prior, sigma = NARROW, 1.0
     ref, rng = _lp_state(7, 12, sigma, prior)
     n0 = ref.n_measurements
@@ -362,11 +354,11 @@ def test_marginal_cuts_agree_on_every_ingest_path():
         c1, c2 = (float(x) for x in np.exp(rng.uniform(np.log([50.0, 0.5]),
                                                        np.log([400.0, 50.0]))))
         a = (1.0, -math.log(c1), -math.log(c2))
-        ax = max(_dot(a, x) for x in ref._lp.x_opt.tolist())
-        bu = ax - 2e-10 * (1.0 + abs(ax))
-        before = ref.n_lp_rebounds
+        ax = max(_dot(a, x) for x in ref._poly.verts)
+        bu = ax - 2e-13 * (1.0 + abs(ax))
+        before = _state(ref._poly)
         ref.add(Measurement(0.0, bu - sigma, c1, c2))
-        assert ref.n_lp_rebounds == before + 1       # only the upper side re-solves
+        assert _state(ref._poly) != before          # the upper side cuts
         rows.append(a)
         qs.append(bu - sigma)
     # the same stream, rebuilt from its first n0 rows and the marginal ones
@@ -381,8 +373,7 @@ def test_marginal_cuts_agree_on_every_ingest_path():
         start += blocks.add_rows_stop_on_change(A[start:], q[start:])[0]
     for est in (bulk, blocks):
         assert est.box == ref.box
-        assert np.array_equal(est._lp.x_opt, ref._lp.x_opt)
-        assert est._lp.m == ref._lp.m
+        assert _state(est._poly) == _state(ref._poly)
         assert est.n_lp_rebounds == ref.n_lp_rebounds
 
 
@@ -493,24 +484,25 @@ def test_p3_frozen_on_concentrate_arc(p_nom2, spec):
     assert w_prior[2] - w_post[2] <= 0.01 * w_prior[2]
 
 
-# --- the concentrate-arc polygon ---------------------------------------------------
+# --- the concentrate arc: a prism over a polygon -------------------------------------
 
 @settings(max_examples=30)
 @given(st.sampled_from([1.0, 0.4, 50.0]), st.integers(1, 80), st.integers(0, 2 ** 31 - 1),
        st.sampled_from([0.1, 1e-3]))
 def test_same_c2_polygon_matches_linprog(c2, n, seed, sigma):
-    """c2 = 1 (k = 0), c2 < 1 (k > 0) and c2 > 1 (k < 0) all stay on the polygon."""
+    """c2 = 1 (k = 0), c2 < 1 (k > 0) and c2 > 1 (k < 0): strips at one c2
+    cut a prism over a polygon in (p1 - ln(c2)*p3, p2), which stays small."""
     rng = np.random.default_rng(seed)
     A, q = _synthetic_rows(n, rng, sigma=sigma, c2_range=(c2, c2))
     est = _est_from_rows(A, q, sigma)
-    assert est._lp.k == A[0, 2] and len(est._lp.th) <= 4 + 2 * n
+    assert len(est._poly.verts) <= setmem._VERTEX_CAP
     lo, hi = _linprog_box(A, q, sigma, PRIOR)
     assert np.max(np.abs(est.box.lo_arr() - lo)) <= 1e-9
     assert np.max(np.abs(est.box.hi_arr() - hi)) <= 1e-9
     assert est.box.contains(TRUE_P)
     # the six optimizer points are feasible and attain the bounds
     G, h = _halfspaces(A, q, sigma)
-    x = est._lp.x_opt
+    x = _extreme_points(est)
     assert float(np.max(G @ x.T - h[:, None])) <= 1e-9
     assert np.all([PRIOR.contains(xi, tol=1e-12) for xi in x])
     assert np.allclose(x[0::2].diagonal(), lo, atol=1e-9)
@@ -518,8 +510,9 @@ def test_same_c2_polygon_matches_linprog(c2, n, seed, sigma):
 
 
 def test_noise_free_concentrate_stream_is_consistent(p_nom2, spec):
-    """Exact fluxes at the sigma floor never empty the polygon; its strips all
-    pass through the truth and stay active, so the LP soon takes over."""
+    """Exact fluxes at the sigma floor never empty the polytope; its strips
+    all pass through the truth and stay active, so it is soon rebuilt from
+    the facets of its extreme vertices."""
     prior = get_case("generalized").prior_box(spec)
     traj = integrate(spec.initial_state(), 0.0, p_nom2,
                      StopCondition.at_time(0.5), spec, record=True)
@@ -535,30 +528,6 @@ def test_noise_free_concentrate_stream_is_consistent(p_nom2, spec):
     assert w[0] <= abs(A[0, 2]) * w[2] + 1e-7
 
 
-def test_polygon_starts_only_on_the_first_row():
-    """A first row off the concentrate arc (a0 = 2) puts the estimator on the
-    LP for good, even when the rest of the call shares one c2; every ingest
-    path then agrees, and counts each row as it is consumed."""
-    A, q = _synthetic_rows(60, np.random.default_rng(8), c2_range=(3.0, 3.0))
-    A[0, 0] = 2.0
-    q[0] = A[0] @ TRUE_P
-    bulk = _est_from_rows(A, q, 0.1)
-    assert type(bulk._lp) is _WarmBoundLP
-    single = OnlineBoxEstimator(PRIOR, 0.1)
-    for i in range(len(q)):
-        single.add_rows(A[i:i + 1], q[i:i + 1])
-        assert type(single._lp) is _WarmBoundLP
-    assert single.box == bulk.box
-    blocks = OnlineBoxEstimator(PRIOR, 0.1)
-    start, stops = 0, 0
-    while start < len(q):
-        n_used, changed = blocks.add_rows_stop_on_change(A[start:], q[start:])
-        start += n_used
-        stops += changed and start < len(q)
-        assert blocks.n_measurements == start
-    assert stops >= 2 and blocks.box == bulk.box
-
-
 @pytest.mark.parametrize("path", ["add", "add_rows", "add_rows_stop_on_change"])
 def test_nonfinite_input_rejected_before_any_change(path):
     est = OnlineBoxEstimator(PRIOR, 0.1)
@@ -571,7 +540,8 @@ def test_nonfinite_input_rejected_before_any_change(path):
     for args in bad:
         with pytest.raises(DomainError):
             getattr(est, path)(*args)
-    assert est.n_measurements == 0 and est._lp.m == 6 and est.box is PRIOR
+    assert est.n_measurements == 0 and _state(est._poly) == _state(_Polytope(PRIOR))
+    assert est.box is PRIOR
 
 
 def test_box_helpers():
@@ -710,27 +680,45 @@ def test_ingest_paths_agree_on_full_batch(full_batch):
         assert est.n_measurements == len(ms)
     assert single.n_lp_rebounds > 20
     assert single.box.contains(p)
-    # the kept LP rows stay few: rows that no longer cut the box are dropped
-    for est in (single, bulk, blocks):
-        assert est._lp.m < 1000
+    # the polytope stays small, and every path leaves the same one
+    assert len(single._poly.verts) <= setmem._VERTEX_CAP
+    for est in (bulk, blocks):
+        assert _state(est._poly) == _state(single._poly)
 
 
-@pytest.mark.parametrize("noise_free", [False, True], ids=["sigma", "sigma0"])
-def test_estimate_pipeline_matches_per_row_add(full_batch, tmp_path, monkeypatch,
-                                               noise_free):
-    """`dfrto estimate` writes the bytes of one `add` per row, and on a noisy
-    stream it takes nearly every row in blocks."""
+def _log_bits_stream(p, sigma):
+    """Noisy rows at random concentrations, some of whose logarithms numpy
+    rounds differently from math.log."""
+    rng = np.random.default_rng(7)
+    c1 = np.exp(rng.uniform(math.log(50.0), math.log(150.0), 3000))
+    c2 = np.exp(rng.uniform(math.log(0.05), math.log(50.0), 3000))
+    q = [flux(x, y, p) + e for x, y, e in zip(c1.tolist(), c2.tolist(),
+                                              rng.uniform(-sigma, sigma, 3000).tolist())]
+    return [Measurement(i / 3600.0, qi, x, y) for i, (qi, x, y) in
+            enumerate(zip(q, c1.tolist(), c2.tolist()))]
+
+
+@pytest.mark.parametrize("stream", ["sigma", "sigma0", "log_bits"])
+def test_estimate_pipeline_matches_per_row_add(full_batch, tmp_path, monkeypatch, stream):
+    """`dfrto estimate` writes the bytes of one `add` per row, hands the
+    bulk ingest the regressors -math.log(c) that `add` forms, and on a noisy
+    stream takes nearly every row in blocks."""
     prior, sigma, p, ms, _, _ = full_batch
     args = ["--case", "generalized"]
-    if noise_free:
+    if stream == "sigma0":
         ms = [m._replace(q_m=flux(m.c1, m.c2, p)) for m in ms[:1000]]
         sigma = 0.0
         (tmp_path / "spec.json").write_text('{"sigma": 0}')
         args += ["--config", str(tmp_path / "spec.json")]
+    elif stream == "log_bits":
+        ms = _log_bits_stream(p, sigma)
+        c = np.array([(m.c1, m.c2) for m in ms])
+        assert (np.log(c) != np.vectorize(math.log)(c)).any()
     ref = OnlineBoxEstimator(prior, sigma)
     expect = _boxes_csv_reference([m.t for m in ms], [ref.add(m) for m in ms])
     src, out = tmp_path / "m.csv", tmp_path / "b.csv"
     src.write_text("t,q_m,c1,c2\n" + "".join("%.17g,%.17g,%.17g,%.17g\n" % m for m in ms))
+    regressors = np.array([[1.0, -math.log(m.c1), -math.log(m.c2)] for m in ms])
 
     rows = {"add": 0, "add_rows_stop_on_change": 0}
     add, block = OnlineBoxEstimator.add, OnlineBoxEstimator.add_rows_stop_on_change
@@ -740,6 +728,7 @@ def test_estimate_pipeline_matches_per_row_add(full_batch, tmp_path, monkeypatch
         return add(self, m)
 
     def block_spy(self, A, q):
+        assert A.tobytes() == regressors[len(regressors) - len(A):].tobytes()
         used, changed = block(self, A, q)
         rows["add_rows_stop_on_change"] += used
         return used, changed
@@ -754,25 +743,10 @@ def test_estimate_pipeline_matches_per_row_add(full_batch, tmp_path, monkeypatch
     assert bad is None, f"line {bad + 1}: {got.splitlines()[bad]!r}"
     assert got == expect
     assert sum(rows.values()) == len(ms)
-    if not noise_free:
-        assert rows["add_rows_stop_on_change"] > 0
+    if stream != "sigma0":
+        assert rows["add_rows_stop_on_change"] > 0.9 * len(ms)
+    if stream == "sigma":
         assert rows["add"] < 0.01 * len(ms)
-
-
-def test_lp_starts_small_after_the_concentrate_arc(full_batch):
-    """The LP takes over from the polygon with a few lifted edges."""
-    prior, sigma, _, ms, A, q = full_batch
-    first = int(np.argmax(A[:, 2] != A[0, 2]))      # first singular-arc row
-    assert first > 1000
-    bulk = OnlineBoxEstimator(prior, sigma)
-    bulk.add_rows(A[:first], q[:first])
-    assert bulk._lp.k == A[0, 2] and len(bulk._lp.th) <= 10
-    bulk.add_rows(A[first:first + 1], q[first:first + 1])
-    single = OnlineBoxEstimator(prior, sigma)
-    for m in ms[:first + 1]:
-        single.add(m)
-    for est in (bulk, single):
-        assert not hasattr(est._lp, "k") and est._lp.m <= 64
 
 
 def test_compacted_lp_keeps_the_feasible_set(full_batch):
@@ -794,27 +768,33 @@ def test_add_rejects_nonpositive_concentration():
     for c1, c2 in ((0.0, 50.0), (50.0, -1.0), (math.nan, 50.0), (50.0, math.inf)):
         with pytest.raises(DomainError):
             est.add(Measurement(0.0, 4.2, c1, c2))
-    assert est.n_measurements == 0 and est._lp.m == 6
+    assert est.n_measurements == 0 and _state(est._poly) == _state(_Polytope(PRIOR))
 
 
-def test_pivot_cap_keeps_a_sound_looser_box(full_batch, monkeypatch):
-    """A bound LP that reaches the pivot cap keeps its last basis, which is
-    still feasible in the dual: by weak duality its value bounds the optimum,
-    so the box stays sound and only gets looser.  The estimator counts the
-    event and raises nothing."""
+def test_vertex_cap_keeps_a_sound_box(full_batch, monkeypatch):
+    """Past the vertex cap the polytope is rebuilt from the prior box and the
+    facets of its extreme vertices: a superset with the same bounds, so the
+    box stays sound and only gets looser as later rows cut the superset."""
     prior, sigma, p, _, A, q = full_batch
     exact = OnlineBoxEstimator(prior, sigma)
     exact.add_rows(A, q)
-    monkeypatch.setattr(setmem, "_MAX_PIVOTS", 1)
+    rebuilt, shifts = setmem._Polytope.rebuilt, []
+
+    def spy(poly):
+        new = rebuilt(poly)
+        shifts.append(max(abs(a - b) / (1.0 + abs(b)) for a, b in zip(new.hull, poly.hull)))
+        return new
+
+    monkeypatch.setattr(setmem._Polytope, "rebuilt", spy)
+    monkeypatch.setattr(setmem, "_VERTEX_CAP", 10)
     capped = OnlineBoxEstimator(prior, sigma)
     capped.add_rows(A, q)
-    assert capped._lp.n_capped > 0 and exact._lp.n_capped == 0
+    assert len(shifts) > 5 and max(shifts) <= 1e-12     # a rebuild keeps the bounds
     assert capped.box.contains(p)
     lo, hi = exact.box.lo_arr(), exact.box.hi_arr()
-    assert np.all(capped.box.lo_arr() <= lo + setmem._MOVE_REL * (1.0 + np.abs(lo)))
-    assert np.all(capped.box.hi_arr() >= hi - setmem._MOVE_REL * (1.0 + np.abs(hi)))
-    assert not np.array_equal(capped.box.lo_arr(), lo) or not np.array_equal(
-        capped.box.hi_arr(), hi)
+    assert np.all(capped.box.lo_arr() <= lo + 1e-12 * (1.0 + np.abs(lo)))
+    assert np.all(capped.box.hi_arr() >= hi - 1e-12 * (1.0 + np.abs(hi)))
+    assert np.any(capped.box.widths() > 1.1 * exact.box.widths())
 
 
 def _interval(rng, x, n):
@@ -832,7 +812,7 @@ def test_interval_inert_implies_exact_inert(seed, sign_mix):
     rows), and zero-width intervals screen exactly as the one-row screen."""
     rng = np.random.default_rng(seed)
     est = OnlineBoxEstimator(PRIOR, 0.1)
-    est._lp = lp = _WarmBoundLP(PRIOR)
+    est._poly = lp = _Polytope(PRIOR)
     lo = rng.uniform(-1.0, 1.0, 3) * np.array([20.0, sign_mix[0], sign_mix[1]])
     width = rng.uniform(0.0, 1.0, 3) * np.array([0.05, 0.01, 0.01])
     lp.hull = tuple(lo.tolist() + (lo + width).tolist())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfrto import harness, strategies
+from dfrto import harness, setmem, strategies
 from dfrto.arc import Arc, integrate
 from dfrto.cases import get_case
 from dfrto.harness import ExperimentConfig, _batch_draw, monte_carlo
@@ -18,6 +18,7 @@ from dfrto.strategies import (NoiseStream, RobustConfig, StrategyDecision, adapt
                               optimal_strategy, realized_batch_times,
                               robust_decision, robust_strategy)
 from dfrto.strategies import _concentrate_end, _ratio_times
+from oracles import certify_bound
 
 
 def _point_box(p):
@@ -342,7 +343,7 @@ class _PointwiseArc(Arc):
 def test_adaptive_screen_changes_no_box(seed, case_name):
     """The samples that the hull screen skips are inert: with every sample's
     exact state fixed, a batch that ingests every row of its blocks goes
-    through the same boxes at the same times, stores the same LP columns,
+    through the same boxes at the same times, ends on the same polytope,
     counts the same measurements, and ends the same."""
     # frozen limiting-flux arcs are explicit, so every one of their samples is
     # cheap to solve alone; a changed box keeps their control and is re-screened
@@ -373,10 +374,9 @@ def test_adaptive_screen_changes_no_box(seed, case_name):
         (every.t1, every.tf, every.reopt_count)
     assert len(screened.box_history) > 3
     a, b = made
-    assert (a.n_measurements, a.n_lp_rebounds, a._lp.m) == \
-        (b.n_measurements, b.n_lp_rebounds, b._lp.m)
-    assert np.array_equal(a._lp._cols[:, :a._lp.m], b._lp._cols[:, :b._lp.m])
-    assert np.array_equal(a._lp._cost[:a._lp.m], b._lp._cost[:b._lp.m])
+    assert (a.n_measurements, a.n_lp_rebounds) == (b.n_measurements, b.n_lp_rebounds)
+    assert (a._poly.verts, a._poly.masks, a._poly.rows) == \
+        (b._poly.verts, b._poly.masks, b._poly.rows)
 
 
 def test_adaptive_record_changes_no_ingested_bit(spec, case2):
@@ -437,3 +437,86 @@ def test_recorded_batch_keeps_the_unrecorded_bits(spec, master_seed, batches,
                                                      noise, record=record)
                                for record in (False, True))
             assert (recorded.t1, recorded.tf) == (plain.t1, plain.tf), (i, strat)
+
+
+# --- the estimator inside a batch ---------------------------------------------------
+
+class _Enough(Exception):
+    """Stops a batch once it has consumed enough rows."""
+
+
+def test_noise_free_batch_keeps_the_truth_in_every_box():
+    """Exact measurements (sigma = 0) at the default 1 s sampling: every box
+    holds the truth and no row is reported inconsistent.  (With bound LPs
+    this batch raised ModelInvalidatedError after 8,905 rows, once a re-solve
+    had stopped at its pivot cap.)"""
+    spec = ProcessSpec(sigma=0.0)
+    cfg = ExperimentConfig(case="generalized", master_seed=0)
+    _, p_true, noise = _batch_draw(cfg, 0, spec)
+    consumed = []
+
+    class Checked(OnlineBoxEstimator):
+        def _ingest(self, A, q, stop):
+            out = super()._ingest(A, q, stop)
+            assert self.box.contains(p_true), self.n_measurements
+            consumed.append(self.n_measurements)
+            if self.n_measurements >= 10_000:
+                raise _Enough
+            return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(strategies, "OnlineBoxEstimator", Checked)
+        try:
+            adaptive_strategy(get_case("generalized").prior_box(spec), p_true, spec,
+                              NoiseStream(np.random.default_rng(noise), spec.sigma))
+        except _Enough:
+            pass
+    assert consumed[-1] > 8_905
+
+
+@pytest.mark.parametrize("case_name", ["generalized", "limiting_flux"])
+def test_box_bounds_have_exact_certificates(case_name):
+    """Each bound of the final box of two adaptive batches (every row
+    ingested, dt_sample = 10 s) has an exact-rational certificate
+    (`oracles.certify_bound`): the vertex of d of its facets is optimal over
+    them, satisfies every ingested padded row, and lies in the box.  Boxes
+    rounded outward by one ulp failed this by up to 1e-14 in p1."""
+    spec = ProcessSpec(dt_sample=10.0)
+    cfg = ExperimentConfig(case=case_name, master_seed=20240801)
+    P0 = get_case(case_name).prior_box(spec)
+    made = []
+
+    class Recorded(OnlineBoxEstimator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.rows = []
+            made.append(self)
+
+        def _ingest(self, A, q, stop):
+            A, q = self._checked(A, q)
+            out = super()._ingest(A, q, stop)
+            self.rows += zip(A[:out[0]].tolist(), q[:out[0]].tolist())
+            return out
+
+    for i in (0, 1):
+        _, p_true, noise = _batch_draw(cfg, i, spec)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(strategies, "OnlineBoxEstimator", Recorded)
+            mp.setattr(OnlineBoxEstimator, "inert",
+                       lambda self, lc1, lc2, q: np.zeros(q[0].shape, dtype=bool))
+            adaptive_strategy(P0, p_true, spec,
+                              NoiseStream(np.random.default_rng(noise), spec.sigma))
+        est = made[-1]
+        assert len(est.rows) == est.n_measurements > 2000
+        halfspaces = []
+        for a, q in est.rows:       # the padded strips, as `_row` forms them
+            bu, bl = q + est.sigma, q - est.sigma
+            up = bu + setmem._CLIP_REL * (1.0 + abs(bu))
+            lo = bl - setmem._CLIP_REL * (1.0 + abs(bl))
+            halfspaces += [(*a, up), (-a[0], -a[1], -a[2], -lo)]
+        poly = est._poly
+        for d, k in enumerate(poly.extremes()):
+            j, side = divmod(d, 2)
+            if j in poly.free:
+                facets = [row for b, row in enumerate(poly.rows) if poly.masks[k] >> b & 1]
+                certify_bound(facets, halfspaces, P0, j, 1 if side else -1, est.box)
