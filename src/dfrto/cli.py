@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .cases import STRATEGIES, UNCERTAINTY_PCT_DEFAULT, get_case
+from .cases import CASES, STRATEGIES, UNCERTAINTY_PCT_DEFAULT, get_case
 from .errors import (ConfigError, DfrtoError, ModelInvalidatedError,
                      SimulationTimeout, StallError, UnsupportedStructureError)
 from .process import Measurement, ProcessSpec
@@ -141,43 +141,35 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dfrto",
         description="Time-optimal batch diafiltration under parametric uncertainty")
     sub = p.add_subparsers(dest="command", required=True)
+    # the case, spec and uncertainty options of every command that builds a plant
+    case = argparse.ArgumentParser(add_help=False)
+    case.add_argument("--case", default="limiting_flux", choices=sorted(CASES))
+    case.add_argument("--config", help="process spec JSON")
+    case.add_argument("--uncertainty", type=float, default=UNCERTAINTY_PCT_DEFAULT)
 
-    sim = sub.add_parser("simulate", help="run one closed-loop batch")
-    sim.add_argument("--case", default="limiting_flux",
-                     choices=("limiting_flux", "generalized"))
+    sim = sub.add_parser("simulate", parents=[case], help="run one closed-loop batch")
     sim.add_argument("--strategy", default="optimal", choices=STRATEGIES)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--config", help="process spec JSON")
-    sim.add_argument("--uncertainty", type=float, default=UNCERTAINTY_PCT_DEFAULT)
     sim.add_argument("--out", help="trajectory CSV path")
     sim.set_defaults(func=_cmd_simulate)
 
-    est = sub.add_parser("estimate", help="bound parameters from a measurement CSV")
+    est = sub.add_parser("estimate", parents=[case],
+                         help="bound parameters from a measurement CSV")
     est.add_argument("--input", required=True, help="CSV with header t,q_m,c1,c2")
     est.add_argument("--out", required=True, help="bounds CSV path")
-    est.add_argument("--case", default="limiting_flux",
-                     choices=("limiting_flux", "generalized"))
-    est.add_argument("--config", help="process spec JSON")
-    est.add_argument("--uncertainty", type=float, default=UNCERTAINTY_PCT_DEFAULT)
     est.set_defaults(func=_cmd_estimate)
 
-    rea = sub.add_parser("reach", help="project a parameter box into switch windows")
+    rea = sub.add_parser("reach", parents=[case],
+                         help="project a parameter box into switch windows")
     rea.add_argument("--box", help="JSON file with lo/hi arrays; default: case prior")
-    rea.add_argument("--case", default="limiting_flux",
-                     choices=("limiting_flux", "generalized"))
-    rea.add_argument("--config", help="process spec JSON")
-    rea.add_argument("--uncertainty", type=float, default=UNCERTAINTY_PCT_DEFAULT)
     rea.add_argument("--out", help="windows JSON path")
     rea.set_defaults(func=_cmd_reach)
 
-    mc = sub.add_parser("montecarlo", help="paired Monte Carlo over random truths")
+    mc = sub.add_parser("montecarlo", parents=[case],
+                        help="paired Monte Carlo over random truths")
     mc.add_argument("--n", type=int, default=1000)
     mc.add_argument("--seed", type=int, default=0)
-    mc.add_argument("--case", default="limiting_flux",
-                    choices=("limiting_flux", "generalized"))
     mc.add_argument("--strategies", default=",".join(STRATEGIES))
-    mc.add_argument("--uncertainty", type=float, default=UNCERTAINTY_PCT_DEFAULT)
-    mc.add_argument("--config", help="process spec JSON")
     mc.add_argument("--out", help="results CSV path")
     mc.add_argument("--progress", action="store_true")
     mc.set_defaults(func=_cmd_montecarlo)

@@ -19,9 +19,9 @@ from .cases import STRATEGIES, UNCERTAINTY_PCT_DEFAULT, get_case
 from .errors import ConfigError, DfrtoError, open_output
 from .process import PlantParams, ProcessSpec
 from .setmem import ParamBox
-from .strategies import (BatchResult, NoiseStream, RobustConfig, adaptive_strategy,
-                         nominal_decision, nominal_strategy, optimal_strategy,
-                         robust_decision, robust_strategy)
+from .strategies import (BatchResult, NoiseStream, adaptive_strategy, nominal_decision,
+                         nominal_strategy, optimal_strategy, robust_decision,
+                         robust_strategy)
 from .summary import RESULT_COLUMNS, format_result_row
 
 
@@ -77,7 +77,7 @@ def make_decisions(cfg: ExperimentConfig, spec: ProcessSpec, P0: ParamBox) -> di
         decisions["nominal"] = nominal_decision(P0, spec)
     if "robust" in cfg.strategies:
         scen = get_case(cfg.case).gamma_scenarios(spec, cfg.uncertainty_pct)
-        decisions["robust"] = robust_decision(P0, spec, RobustConfig(), scenarios=scen)
+        decisions["robust"] = robust_decision(P0, spec, scenarios=scen)
     return decisions
 
 

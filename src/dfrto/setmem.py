@@ -11,11 +11,12 @@ Piet-Lahanier, "Exact recursive polyhedral description of the feasible
 parameter set for bounded-error models", IEEE TAC 34(8), 1989), with the
 double-description adjacency test of Fukuda & Prodon (1996).  The box is the
 vertices' min/max, widened by the same relative pad as each cut.  A few
-vertices, rarely more than 20, survive however many samples arrive.  One per-row routine takes every sample
-that may change the estimator.  It first screens the whole strip against
-that box: when the strip contains it, no half-space can cut, which the screen
-proves with six float products and two sums (no tolerance, see
-`_Polytope.strip_is_inert`), and most samples of a batch stop there.
+vertices, rarely more than 20, survive however many samples arrive.  One
+per-row routine takes every sample that may change the estimator.  It first
+screens the whole strip against that box: when the strip contains it, no
+half-space can cut, which the screen proves with six float products and two
+sums (no tolerance, see `_Polytope.strip_is_inert`), and most samples of a
+batch stop there.
 """
 
 from __future__ import annotations
@@ -290,14 +291,14 @@ class OnlineBoxEstimator:
 
     The feasible set is kept exactly, as a `_Polytope`: each measurement's
     strip that leaves a vertex outside cuts it twice, once per half-space,
-    and the box is the polytope's `hull`, nested into the previous box.  On the concentrate arc every strip shares one c2, so the
-    polytope is a prism over a polygon in (p1 - ln(c2)*p3, p2) within the
-    prior; the singular arc then cuts the same polytope.  Noise-free strips
-    all pass near the truth and stay active, so the vertex count grows; past
-    `_VERTEX_CAP` vertices the polytope is rebuilt from the facets of its
-    extreme vertices.  An empty polytope beyond the `_CLIP_REL` pads raises
-    ModelInvalidatedError.  `n_lp_rebounds` counts the half-spaces that
-    moved the box.
+    and the box is the polytope's `hull`, nested into the previous box.  On
+    the concentrate arc every strip shares one c2, so the polytope is a prism
+    over a polygon in (p1 - ln(c2)*p3, p2) within the prior; the singular arc
+    then cuts the same polytope.  Noise-free strips all pass near the truth
+    and stay active, so the vertex count grows; past `_VERTEX_CAP` vertices
+    the polytope is rebuilt from the facets of its extreme vertices.  An
+    empty polytope beyond the `_CLIP_REL` pads raises ModelInvalidatedError.
+    `n_lp_rebounds` counts the half-spaces that moved the box.
 
     Every row that may change the estimator goes through one routine, `_row`:
     it skips a strip that contains the hull box (`_Polytope.strip_is_inert`)

@@ -12,14 +12,13 @@ concentration ratio, so terminal feasibility holds under any mismatch.
    equivalence switch; the singular control is refreshed as the box shrinks.
 
 On the adaptive singular arc the plant is propagated in closed form (arc.py),
-one Arc per singular control, until a box update moves the control.  Blocks
-of samples are enclosed without a Halley pass (Arc.state_bounds) and screened
-against the estimator's hull box (OnlineBoxEstimator.inert); only the samples
-that may cut its polytope (about one in ten) get exact states.  An adaptive
-generalized batch costs about 18 ms so, against 42 ms with every state exact
-(in-process, 2-vCPU Xeon, 20 truths).  No step size or event tolerance is
-involved.  realized_batch_times and arc.integrate, which runs the decisions of
-the open-loop strategies, use the same arc formulas.  Only the adaptive
+one Arc per singular control.  Blocks of samples are enclosed without a Halley
+pass (Arc.state_bounds) and screened against the estimator's hull box
+(OnlineBoxEstimator.inert); only the samples that may cut its polytope get
+exact states, so an adaptive generalized batch costs about 23 ms, against 55 ms
+with every state exact (in-process, 2-vCPU Xeon, 20 truths, best of 3).
+realized_batch_times and arc.integrate, which runs the open-loop decisions, use
+the same formulas, with no step size or event tolerance.  Only the adaptive
 concentrate phase still solves an ODE; `solve_ivp` imports scipy.integrate
 (about 0.2 s) on its first call, so a process with no adaptive batch never does.
 """
@@ -352,8 +351,7 @@ def adaptive_strategy(P0: ParamBox, p_true: PlantParams, spec: ProcessSpec,
     est = OnlineBoxEstimator(P0, spec.sigma)
     tf_opt = _plan(p_true, spec)[2]
     dt = spec.dt_h
-    m = spec.mass
-    rf = spec.ratio_f
+    p1t, p2t, p3t = p_true.p1, p_true.p2, p_true.p3
     boxes = [(0.0, est.box)] if record else None
 
     windows = project_switch_windows(P0, spec)
@@ -367,22 +365,27 @@ def adaptive_strategy(P0: ParamBox, p_true: PlantParams, spec: ProcessSpec,
         if boxes is not None:
             boxes.append((t, est.box))
 
+    def first_sample(t: float) -> int:
+        """Index k of the first sampling instant k*dt after t."""
+        return int(math.floor(t / dt + 1e-9)) + 1
+
+    def measured(lc1, lc2, eta):
+        """Regressor rows and noisy flux of samples at (ln c1, ln c2)."""
+        return (np.column_stack([np.ones(lc1.size), -lc1, -lc2]),
+                p1t - p2t * lc1 - p3t * lc2 + eta)
+
     def run_concentrate(t_from: float, t_to: float, y0) -> np.ndarray:
         """Integrate u=0 over [t_from, t_to], ingesting all samples in between."""
-        sol = solve_ivp(_rhs_factory(p_true, 0.0, m), (t_from, t_to), y0,
+        sol = solve_ivp(_rhs_factory(p_true, 0.0, spec.mass), (t_from, t_to), y0,
                         method="RK45", rtol=1e-8, atol=(1e-10, 1e-12),
                         dense_output=True)
         if not sol.success:
             raise SimulationTimeout(sol.message)
-        k0 = int(math.floor(t_from / dt + 1e-9)) + 1
-        k1 = int(math.floor(t_to / dt + 1e-9))
-        if k1 >= k0:
-            ks = np.arange(k0, k1 + 1)
+        ks = np.arange(first_sample(t_from), first_sample(t_to))
+        if ks.size:
             ts = ks * dt
             ys = sol.sol(ts)
-            q_true = p_true.p1 - p_true.p2 * np.log(ys[0]) - p_true.p3 * np.log(ys[1])
-            rows = np.column_stack([np.ones(ks.size), -np.log(ys[0]), -np.log(ys[1])])
-            est.add_rows(rows, q_true + noise.eta(ks))
+            est.add_rows(*measured(np.log(ys[0]), np.log(ys[1]), noise.eta(ks)))
             log_box(t_to)
             if rec is not None:
                 rec.append((ts, ys[0].copy(), ys[1].copy(), 0.0))
@@ -399,105 +402,89 @@ def adaptive_strategy(P0: ParamBox, p_true: PlantParams, spec: ProcessSpec,
             raise SimulationTimeout("t1 window edge beyond t_max")
         y = run_concentrate(t_now, t_edge, y)
         t_now = t_edge
-        old_width = windows.t1[1] - windows.t1[0]
+        old = windows.t1
         windows = project_switch_windows(est.box, spec)
         reopts += 1
-        new_width = windows.t1[1] - windows.t1[0]
-        if new_width <= _SHRINK_RATIO * old_width:
-            break
-        if _cost_variation(est.box, spec) < _EPS:
-            break
-        if reopts >= _MAX_REOPTS:
+        if (windows.t1[1] - windows.t1[0] <= _SHRINK_RATIO * (old[1] - old[0])
+                or _cost_variation(est.box, spec) < _EPS or reopts >= _MAX_REOPTS):
             break
 
-    mid_plan = plan_vectorized(est.box.mid().as_array(), spec)
-    t1_commit = max(mid_plan["t1"], t_now)
+    t1_commit = max(plan_vectorized(est.box.mid().as_array(), spec)["t1"], t_now)
     if t1_commit > t_now:
         y = run_concentrate(t_now, t1_commit, y)
         t_now = t1_commit
 
-    # phase 2: singular arc in closed form, one Arc per control, screened and
-    # ingested block by block (module docstring) until a box change moves the
-    # control; the plant then re-anchors at that sample.  A change that keeps
-    # the control re-screens the rest of the block against the new hull.
+    # phase 2: the singular arc in closed form, screened and ingested block by
+    # block (module docstring) up to the block that reaches the ratio event.  A
+    # box change that moves the control re-anchors the plant at that sample in
+    # a new Arc; one that keeps it re-screens the rest of the block.
     u_now = singular_control(est.box.mid())
     band_degenerate = est.box.widths()[1] + est.box.widths()[2] < 1e-12
-    p1t, p2t, p3t = p_true.p1, p_true.p2, p_true.p3
-    ln_rf = math.log(rf)
-
-    k_next = int(math.floor(t_now / dt + 1e-9)) + 1
+    ln_rf = math.log(spec.ratio_f)
+    k_next = first_sample(t_now)
     x_now, v_now = math.log(y[0]), math.log(y[1])
-    t_event = None
-    while t_event is None:
-        arc = Arc(t_now, x_now, v_now, u_now, p1t, p2t, p3t, m)
-        y_ev = arc.ratio_y(ln_rf)
-        t_ev, x_ev, v_ev = (float(a) for a in arc.ratio_event(ln_rf))
-        block, u_next = _BLOCK0, None
-        while u_next is None and t_event is None:
-            if t_now >= spec.t_max:
-                return BatchResult("adaptive", p_true, t1_commit, math.nan, math.nan,
-                                   feasible=False, regret=math.nan, reopt_count=reopts,
-                                   timed_out=True, box_history=boxes)
-            ks = np.arange(k_next, k_next + block)
-            ts = ks * dt
-            filled = int(np.searchsorted(ts, t_ev))     # samples before the event
-            ts, eta = ts[:filled], noise.eta(ks[:filled])
-            x_lo, x_hi, v_lo, v_hi = arc.state_bounds(ts, y_ev)
-            q_lo = p1t - p2t * x_hi - p3t * v_hi + eta    # q falls in x, v: p2 > 0, p3 >= 0
-            q_hi = p1t - p2t * x_lo - p3t * v_lo + eta
-            used, n_in, i0, rest = filled, 0, 0, None
-            while True:
-                if rest is None:        # the rest of the block against the current hull
-                    rest = i0 + np.flatnonzero(~est.inert((x_lo[i0:], x_hi[i0:]), (
-                        v_lo[i0:], v_hi[i0:]), (q_lo[i0:], q_hi[i0:])))
-                cand, rest = rest[:_CHUNK], rest[_CHUNK:]
-                if not cand.size:
+    arc = None
+    while True:
+        if arc is None:
+            arc = Arc(t_now, x_now, v_now, u_now, p1t, p2t, p3t, spec.mass)
+            y_ev = arc.ratio_y(ln_rf)
+            t_ev, x_ev, v_ev = (float(a) for a in arc.ratio_event(ln_rf))
+            block = _BLOCK0
+        if t_now >= spec.t_max:
+            return BatchResult("adaptive", p_true, t1_commit, math.nan, math.nan,
+                               feasible=False, regret=math.nan, reopt_count=reopts,
+                               timed_out=True, box_history=boxes)
+        ks = np.arange(k_next, k_next + block)
+        ts = ks * dt
+        filled = int(np.searchsorted(ts, t_ev))     # samples before the event
+        ts, eta = ts[:filled], noise.eta(ks[:filled])
+        x_lo, x_hi, v_lo, v_hi = arc.state_bounds(ts, y_ev)
+        q_lo = p1t - p2t * x_hi - p3t * v_hi + eta    # q falls in x, v: p2 > 0, p3 >= 0
+        q_hi = p1t - p2t * x_lo - p3t * v_lo + eta
+        used, n_in, i0, rest, u_next = filled, 0, 0, None, u_now
+        while True:
+            if rest is None:        # the rest of the block against the current hull
+                rest = i0 + np.flatnonzero(~est.inert((x_lo[i0:], x_hi[i0:]), (
+                    v_lo[i0:], v_hi[i0:]), (q_lo[i0:], q_hi[i0:])))
+            cand, rest = rest[:_CHUNK], rest[_CHUNK:]
+            if not cand.size:
+                break
+            lc1, lc2 = arc.states(ts[cand], y_ev)
+            n_used, changed = est.add_rows_stop_on_change(*measured(lc1, lc2, eta[cand]))
+            n_in += n_used
+            if not changed:
+                continue            # the hull stands, and so does the screen
+            i0, rest = int(cand[n_used - 1]) + 1, None
+            log_box(float(ts[i0 - 1]))
+            if not band_degenerate:
+                u_ref = singular_control(est.box.mid())
+                if abs(u_ref - u_now) > 1e-13:
+                    u_next, used = u_ref, i0    # later samples of this block are void
+                    x_now, v_now = float(lc1[n_used - 1]), float(lc2[n_used - 1])
                     break
-                lc1, lc2 = arc.states(ts[cand], y_ev)
-                q_noisy = p1t - p2t * lc1 - p3t * lc2 + eta[cand]
-                n_used, changed = est.add_rows_stop_on_change(
-                    np.column_stack([np.ones(cand.size), -lc1, -lc2]), q_noisy)
-                n_in += n_used
-                if not changed:
-                    continue            # the hull stands, and so does the screen
-                i0, rest = int(cand[n_used - 1]) + 1, None
-                log_box(float(ts[i0 - 1]))
-                if not band_degenerate:
-                    u_ref = singular_control(est.box.mid())
-                    if abs(u_ref - u_now) > 1e-13:
-                        u_next = u_ref       # later samples of this block are void
-                        used = i0
-                        x_now, v_now = float(lc1[n_used - 1]), float(lc2[n_used - 1])
-                        break
-            est.n_measurements += used - n_in       # the screened-out samples
-            if u_next is None:
-                if filled < block:
-                    t_event = t_ev
-                block = min(2 * block, _BLOCK_MAX)
-            if rec is not None and used:     # a solve for the trajectory alone
-                lc1, lc2 = arc.states(ts[:used], y_ev)
-                rec.append((ts[:used], np.exp(lc1), np.exp(lc2), u_now))
-            if used:
-                t_now = float(ts[used - 1])
-                k_next += used
-        if u_next is not None:
-            u_now = u_next
+        est.n_measurements += used - n_in       # the screened-out samples
+        if rec is not None and used:     # a solve for the trajectory alone
+            lc1, lc2 = arc.states(ts[:used], y_ev)
+            rec.append((ts[:used], np.exp(lc1), np.exp(lc2), u_now))
+        if used:
+            t_now, k_next = float(ts[used - 1]), k_next + used
+        if u_next != u_now:         # a new Arc from the re-anchored state
+            u_now, arc = u_next, None
+        elif filled < block:        # the block reached the ratio event
+            break
+        else:
+            block = min(2 * block, _BLOCK_MAX)
 
-    end = PlantState(t_event, math.exp(x_ev), math.exp(v_ev))
+    end = PlantState(t_ev, math.exp(x_ev), math.exp(v_ev))
     post, feasible = _dilute_to_target(end, spec)
     traj = None
     if rec is not None:
-        rec.append((np.array([t_event]), np.array([end.c1]), np.array([end.c2]), u_now))
+        rec.append((np.array([t_ev]), np.array([end.c1]), np.array([end.c2]), u_now))
         rec.append((np.array([post.t]), np.array([post.c1]), np.array([post.c2]), math.inf))
-        parts = []
-        for seg_t, seg_c1, seg_c2, seg_u in rec:
-            if seg_t.size == 0:
-                continue
-            q_seg = p1t - p2t * np.log(seg_c1) - p3t * np.log(seg_c2)
-            parts.append(Trajectory(seg_t, seg_c1, seg_c2,
-                                    np.full_like(seg_t, seg_u), q_seg))
-        traj = Trajectory.concat(parts)
-        traj.event_time = t_event
-    return BatchResult("adaptive", p_true, t1_commit, t_event, t_event, feasible,
-                       regret=t_event - tf_opt, reopt_count=reopts,
+        traj = Trajectory.concat([
+            Trajectory(t, c1, c2, np.full_like(t, u), p1t - p2t * np.log(c1) - p3t * np.log(c2))
+            for t, c1, c2, u in rec if t.size])
+        traj.event_time = t_ev
+    return BatchResult("adaptive", p_true, t1_commit, t_ev, t_ev, feasible,
+                       regret=t_ev - tf_opt, reopt_count=reopts,
                        trajectory=traj, box_history=boxes)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -6,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from dfrto.cli import main
+from dfrto.cases import CASES
+from dfrto.cli import build_parser, main
 from dfrto.errors import ConfigError, ModelInvalidatedError
 from dfrto.summary import read_results_csv
 from dfrto.process import PlantParams, ProcessSpec, flux
@@ -376,3 +378,18 @@ def test_estimate_missing_input_is_config_error(tmp_path, capsys):
               "--out", str(tmp_path / "b.csv")])
     assert rc == 2
     assert "none.csv" in capsys.readouterr().err
+
+
+def test_every_case_option_offers_every_case():
+    """Each subcommand that takes --case offers exactly the cases of
+    dfrto.cases, and its default is one of them.  No command runs."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    offered = {}
+    for name, sub in commands.items():
+        for action in sub._actions:
+            if "--case" in action.option_strings:
+                offered[name] = (list(action.choices), action.default in action.choices)
+    assert offered == {name: (sorted(CASES), True)
+                       for name in ("simulate", "estimate", "reach", "montecarlo")}

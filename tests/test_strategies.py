@@ -520,3 +520,32 @@ def test_box_bounds_have_exact_certificates(case_name):
             if j in poly.free:
                 facets = [row for b, row in enumerate(poly.rows) if poly.masks[k] >> b & 1]
                 certify_bound(facets, halfspaces, P0, j, 1 if side else -1, est.box)
+
+
+@pytest.mark.parametrize("case_name", ["generalized", "limiting_flux"])
+@pytest.mark.parametrize("sigma, dt_sample", [(0.1, 1.0), (0.1, 10.0), (0.1, 37.0),
+                                              (0.0, 10.0), (0.0, 37.0)])
+def test_adaptive_counts_every_sample_once(case_name, sigma, dt_sample):
+    """An adaptive batch measures each sampling instant k*dt (k >= 1) strictly
+    before its final time exactly once: none is dropped or counted twice at
+    the phase boundary, at a re-anchor or at a block end, ingested or screened
+    out.  An exact-data batch costs up to about 1 s, so those run one truth."""
+    spec = ProcessSpec(sigma=sigma, dt_sample=dt_sample)
+    cfg = ExperimentConfig(case=case_name, master_seed=77)
+    P0 = get_case(case_name).prior_box(spec)
+    made = []
+
+    class Counted(OnlineBoxEstimator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    for i in (0, 1, 2) if sigma else (1,):
+        _, p_true, noise = _batch_draw(cfg, i, spec)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(strategies, "OnlineBoxEstimator", Counted)
+            res = adaptive_strategy(P0, p_true, spec,
+                                    NoiseStream(np.random.default_rng(noise), spec.sigma))
+        dt = spec.dt_h
+        k = np.arange(1, int(res.tf / dt) + 2)
+        assert made[-1].n_measurements == np.count_nonzero(k * dt < res.tf), i
