@@ -17,8 +17,9 @@ import numpy as np
 
 from .cases import STRATEGIES, UNCERTAINTY_PCT_DEFAULT, get_case
 from .errors import ConfigError, DfrtoError, open_output
+from .policy import plan_vectorized
 from .process import PlantParams, ProcessSpec
-from .setmem import ParamBox
+from .setmem import ParamBox, scenario_points
 from .strategies import (BatchResult, NoiseStream, adaptive_strategy, nominal_decision,
                          nominal_strategy, optimal_strategy, robust_decision,
                          robust_strategy)
@@ -71,7 +72,13 @@ def _batch_draw(cfg: ExperimentConfig, i: int, spec: ProcessSpec) -> tuple[
 def make_decisions(cfg: ExperimentConfig, spec: ProcessSpec, P0: ParamBox) -> dict:
     """The commitments of the requested open-loop strategies, shared by every
     batch: nominal at the prior box's midpoint, robust over the case's gamma
-    scenarios."""
+    scenarios.  With adaptive requested, a prior box that holds a plant below
+    the singular surface raises UnsupportedStructureError here, naming the
+    plant that each adaptive batch would fail on: the surface is linear in p,
+    so a corner, listed first as in project_switch_windows, is below if any
+    plant is."""
+    if "adaptive" in cfg.strategies:
+        plan_vectorized(scenario_points(P0.lo_arr(), P0.hi_arr(), 0), spec)
     decisions = {}
     if "nominal" in cfg.strategies:
         decisions["nominal"] = nominal_decision(P0, spec)

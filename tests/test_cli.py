@@ -243,6 +243,22 @@ def test_unsupported_structure_exits_2_naming_the_plant(capsys, argv):
     assert err.startswith("config error:") and "singular surface for p=[16.04" in err
 
 
+def test_adaptive_sweep_over_an_unsupported_prior_exits_2(tmp_path, capsys):
+    """The +-15 % generalized prior box holds a plant below the singular
+    surface.  An adaptive-only sweep used to record each batch as failed and
+    exit 0; it now stops before any batch runs or the results CSV opens, and
+    names the plant that `reach` names."""
+    args = ["--case", "generalized", "--uncertainty", "0.15"]
+    assert run(["reach", *args]) == 2
+    named = capsys.readouterr().err
+    assert "singular surface for p=[17.2" in named
+    out = tmp_path / "mc.csv"
+    assert run(["montecarlo", *args, "--n", "1", "--strategies", "adaptive",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == named
+    assert not out.exists()
+
+
 def test_empty_strategies_is_config_error(capsys):
     assert run(["montecarlo", "--n", "1", "--strategies", ""]) == 2
     assert "no strategies" in capsys.readouterr().err

@@ -226,6 +226,12 @@ def _hull_sums(a, lo, hi) -> tuple[float, float]:
     return up[0] + up[1] + up[2], down[0] + down[1] + down[2]
 
 
+def _hull_inert(hull, a, bl, bu) -> bool:
+    """Whether the strip bl <= a.p <= bu holds the box hull = (lo, hi)."""
+    s_hi, s_lo = _hull_sums(a, hull[:3], hull[3:])
+    return s_hi <= bu and s_lo >= bl
+
+
 def _hull_of(poly) -> tuple:
     """The vertices' min/max widened by _CLIP_REL*(1+|x|) and rounded
     outward, from scratch."""
@@ -285,17 +291,28 @@ def test_screened_add_matches_the_two_step_path(kind, seed, n, prior_sigma, frac
 
 
 def test_screen_is_exact_at_tangency():
-    """A strip whose bound equals the hull sum is inert; one ulp inside is not."""
+    """On zero-width intervals `inert` holds a strip whose bound rounds to the
+    hull sum, not one whose bound is one step inside it, and not a NaN."""
     est, _ = _lp_state(1, 20, 1.0, NARROW)
-    poly = est._poly
-    a = (1.0, -math.log(120.0), -math.log(3.0))
-    s_hi, s_lo = _hull_sums(a, poly.hull[:3], poly.hull[3:])
-    assert s_hi - s_lo < 2.0               # the strip is wider than the hull
-    assert poly.strip_is_inert(a, s_hi - 2.0, s_hi)
-    assert not poly.strip_is_inert(a, s_hi - 2.0, math.nextafter(s_hi, -math.inf))
-    assert poly.strip_is_inert(a, s_lo, s_lo + 2.0)
-    assert not poly.strip_is_inert(a, math.nextafter(s_lo, math.inf), s_lo + 2.0)
-    assert not poly.strip_is_inert(a, -math.inf, math.inf * 0.0)   # nan: not inert
+    poly, sigma = est._poly, est.sigma
+    lc1, lc2 = math.log(120.0), math.log(3.0)
+    s_hi, s_lo = _hull_sums((1.0, -lc1, -lc2), poly.hull[:3], poly.hull[3:])
+    assert s_hi - s_lo < 2.0 * sigma       # the strip is wider than the hull
+
+    def inert(q):
+        return est.inert(*((np.array([x]),) * 2 for x in (lc1, lc2, q)))[0]
+
+    def tangent(q, bound, side):
+        """q stepped by ulps until q + side*sigma rounds to bound."""
+        while q + side * sigma != bound:
+            q = math.nextafter(q, math.inf if q + side * sigma < bound else -math.inf)
+        return q
+
+    q = tangent(s_hi - sigma, s_hi, 1.0)
+    assert inert(q) and not inert(math.nextafter(q, -math.inf))
+    q = tangent(s_lo + sigma, s_lo, -1.0)
+    assert inert(q) and not inert(math.nextafter(q, math.inf))
+    assert not inert(math.nan)
 
 
 def test_screen_covers_optimizers_outside_the_box():
@@ -827,7 +844,7 @@ def test_interval_inert_implies_exact_inert(seed, sign_mix):
     assert 0 < inert.sum() < n
     for i in np.flatnonzero(inert):
         for c1, c2, qe in itertools.product(*((iv[0][i], iv[1][i]) for iv in ivs)):
-            assert lp.strip_is_inert((1.0, -c1, -c2), qe - sigma, qe + sigma)
+            assert _hull_inert(lp.hull, (1.0, -c1, -c2), qe - sigma, qe + sigma)
     exact = est.inert((lc1, lc1), (lc2, lc2), (q, q))
-    assert exact.tolist() == [lp.strip_is_inert((1.0, -x, -y), qe - sigma, qe + sigma)
+    assert exact.tolist() == [_hull_inert(lp.hull, (1.0, -x, -y), qe - sigma, qe + sigma)
                               for x, y, qe in zip(lc1.tolist(), lc2.tolist(), q.tolist())]

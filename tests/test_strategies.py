@@ -224,6 +224,40 @@ def test_adaptive_single_reoptimization(spec, case1):
         assert res.feasible
 
 
+@pytest.mark.parametrize("master_seed", [22, 30, 34])
+def test_adaptive_repeated_reoptimization(master_seed, monkeypatch):
+    """At one sample a minute, generalized batch 0 of these seeds finds its
+    first re-optimization uninformative (its t1 window neither halves nor
+    pins the batch time) and re-optimizes again just before the updated
+    window's lower edge."""
+    spec = ProcessSpec(dt_sample=60.0)
+    _, p_true, noise = _batch_draw(
+        ExperimentConfig(case="generalized", master_seed=master_seed), 0, spec)
+    projected, varied = [], []
+
+    def project(box, spec_, original=strategies.project_switch_windows):
+        projected.append((box, original(box, spec_)))
+        return projected[-1][1]
+
+    def variation(box, spec_, original=strategies._cost_variation):
+        varied.append(box)
+        return original(box, spec_)
+
+    monkeypatch.setattr(strategies, "project_switch_windows", project)
+    monkeypatch.setattr(strategies, "_cost_variation", variation)
+    res = adaptive_strategy(get_case("generalized").prior_box(spec), p_true, spec,
+                            NoiseStream(np.random.default_rng(noise), spec.sigma),
+                            record=True)
+    assert res.reopt_count == 2 and len(projected) == 3 and len(varied) == 1
+    for (box, _), (_, before), (t, logged) in zip(projected[1:], projected,
+                                                   res.box_history[1:]):
+        assert box is logged                 # the box in force at that sample
+        k = round(t / spec.dt_h)
+        assert k * spec.dt_h == t < before.t1[0]
+    assert res.feasible and res.regret >= -1e-6
+    assert all(box.contains(p_true) for _, box in res.box_history)
+
+
 def test_adaptive_box_history_monotone(spec, case2):
     P0 = case2.prior_box(spec)
     rng = np.random.default_rng(9)
