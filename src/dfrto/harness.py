@@ -72,11 +72,11 @@ def _batch_draw(cfg: ExperimentConfig, i: int, spec: ProcessSpec) -> tuple[
 def make_decisions(cfg: ExperimentConfig, spec: ProcessSpec, P0: ParamBox) -> dict:
     """The commitments of the requested open-loop strategies, shared by every
     batch: nominal at the prior box's midpoint, robust over the case's gamma
-    scenarios.  With adaptive requested, a prior box that holds a plant below
-    the singular surface raises UnsupportedStructureError here, naming the
-    plant that each adaptive batch would fail on: the surface is linear in p,
-    so a corner, listed first as in project_switch_windows, is below if any
-    plant is."""
+    scenarios.  With adaptive requested, a prior box that holds a plant outside
+    the concentrate/singular/dilute structure raises UnsupportedStructureError
+    here, naming the plant that each adaptive batch would fail on: both bounds
+    of that structure (plan_vectorized) are linear in p, so a corner, listed
+    first as in project_switch_windows, is outside if any plant is."""
     if "adaptive" in cfg.strategies:
         plan_vectorized(scenario_points(P0.lo_arr(), P0.hi_arr(), 0), spec)
     decisions = {}
@@ -105,8 +105,9 @@ def run_batch(cfg: ExperimentConfig, i: int, spec: ProcessSpec, P0: ParamBox,
     """Batch i's results-CSV seed and all requested strategies on its
     truth/noise draw (_batch_draw).
 
-    A strategy that raises is recorded as failed (timed out, NaN times) on its
-    own row; its paired siblings keep their results.
+    A strategy that raises is recorded as failed on its own row, here alone:
+    timed_out, NaN t1, t2, tf and regret, not feasible and no re-optimization.
+    Its paired siblings keep their results.
     """
     seed, p_true, noise = _batch_draw(cfg, i, spec)
     out = []

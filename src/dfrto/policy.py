@@ -38,8 +38,10 @@ def plan_vectorized(P: np.ndarray, spec: ProcessSpec) -> dict:
     a 1-D P (3,) they are Python floats, computed on the float path of
     dfrto.arc with the same bits.  Raises UnsupportedStructureError, naming the
     first such row, when a row does not start above the singular surface
-    (S(x0) = q(x0) - p2 - p3 <= 0).  A c1_end below c1_f is returned as is: a
-    batch on such a plant ends infeasible at its dilution.
+    (S(x0) = q(x0) - p2 - p3 <= 0) or would switch past the ratio target
+    (c1_switch > ratio_f*c2_0, reached on the concentrate arc).  A c1_end below
+    c1_f is returned as is: a batch on such a plant ends infeasible at its
+    dilution.
     """
     P = np.asarray(P, dtype=float)
     single = P.ndim == 1
@@ -54,13 +56,15 @@ def plan_vectorized(P: np.ndarray, spec: ProcessSpec) -> dict:
     alpha = p1 - p3 * ln_c20            # arc-1 flux intercept (c2 frozen)
     w0 = alpha / p2 - ln_c10            # q(x0)/p2
     ws = (p2 + p3) / p2                 # q/p2 on the singular surface
-    below = w0 <= ws
-    if np.any(below):
-        row = P if single else P[int(np.argmax(below))]
-        raise UnsupportedStructureError(
-            f"initial state not above the singular surface for p={row.tolist()}")
-    c1_sw = np.exp(alpha / p2 - ws)
-    t1 = Arc(0.0, ln_c10, ln_c20, 0.0, p1, p2, p3, m).time_to(alpha / p2 - ws)
+    ln_sw = alpha / p2 - ws             # ln c1 at the switch; NaN is beyond the target
+    for bad, what in ((w0 <= ws, "initial state not above the singular surface"),
+                      (np.logical_not(ln_sw <= math.log(spec.ratio_f * spec.c2_0)),
+                       "ratio target reached before the singular surface")):
+        if np.any(bad):
+            row = P if single else P[int(np.argmax(bad))]
+            raise UnsupportedStructureError(f"{what} for p={row.tolist()}")
+    c1_sw = np.exp(ln_sw)
+    t1 = Arc(0.0, ln_c10, ln_c20, 0.0, p1, p2, p3, m).time_to(ln_sw)
     us = p2 / (p2 + p3)
     if single:
         c1_sw = float(c1_sw)

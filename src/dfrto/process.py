@@ -161,8 +161,7 @@ class ProcessSpec:
 
 
 class Measurement(NamedTuple):
-    """One flux sample: noisy q, exactly measured concentrations.  A named
-    tuple, since a full measurement stream builds one per sample."""
+    """One flux sample: noisy q, exactly measured concentrations."""
 
     t: float
     q_m: float

@@ -97,7 +97,7 @@ class BatchResult:
     feasible: bool
     regret: float
     reopt_count: int = 0
-    timed_out: bool = False
+    timed_out: bool = False     # set by harness.run_batch alone
     trajectory: Trajectory | None = None
     box_history: list | None = None
 
@@ -136,14 +136,10 @@ def _finish_batch(strategy: str, p_true: PlantParams, spec: ProcessSpec,
                   decision: StrategyDecision, *, record: bool) -> BatchResult:
     """Run the committed decision on the plant with ratio feedback."""
     tf_opt = _plan(p_true, spec)[2]
-    try:
-        arc1 = integrate(spec.initial_state(), 0.0, p_true,
-                         StopCondition.at_time(decision.t1_commit), spec, record=record)
-        arc2 = integrate(arc1.final_state(), decision.u_s_commit, p_true,
-                         StopCondition.ratio_reached(spec.ratio_f), spec, record=record)
-    except SimulationTimeout:
-        return BatchResult(strategy, p_true, decision.t1_commit, math.nan, math.nan,
-                           feasible=False, regret=math.nan, timed_out=True)
+    arc1 = integrate(spec.initial_state(), 0.0, p_true,
+                     StopCondition.at_time(decision.t1_commit), spec, record=record)
+    arc2 = integrate(arc1.final_state(), decision.u_s_commit, p_true,
+                     StopCondition.ratio_reached(spec.ratio_f), spec, record=record)
     end = arc2.final_state()
     post, feasible = _dilute_to_target(end, spec)
     traj = None
@@ -245,22 +241,24 @@ def robust_decision(P0: ParamBox, spec: ProcessSpec,
     t1_c = min(max(nom.t1_commit, t1_lo), t1_hi)
     u_c = min(max(nom.u_s_commit, u_lo), u_hi)
     best = objective(t1_c, u_c)
-    t_res = spec.dt_h
-    for _ in range(cfg.max_sweeps):
-        improved = False
+    # each search depends only on the other coordinate, so a search whose
+    # input has not moved since it last ran would return its point again
+    for sweep in range(cfg.max_sweeps):
         t1_new, val_t = _golden_min(lambda x: objective(x, u_c), t1_lo, t1_hi,
-                                    t_res, cfg.coarse_grid)
+                                    spec.dt_h, cfg.coarse_grid)
         if val_t < best - 1e-15:
-            t1_c, best, improved = t1_new, val_t, True
-        if u_hi - u_lo > cfg.u_resolution:
-            end = _concentrate_end(scen, t1_c, spec)     # shared by every u
-            u_new, val_u = _golden_min(
-                lambda x: worst(_ratio_times(scen, t1_c, end, column(x), spec)),
-                u_lo, u_hi, cfg.u_resolution, cfg.coarse_grid)
-            if val_u < best - 1e-15:
-                u_c, best, improved = u_new, val_u, True
-        if not improved:
-            break
+            t1_c, best = t1_new, val_t
+        elif sweep:
+            break               # the u search after it would repeat the last one
+        if u_hi - u_lo <= cfg.u_resolution:
+            break               # u is fixed: a second t1 search would repeat this one
+        end = _concentrate_end(scen, t1_c, spec)     # shared by every u
+        u_new, val_u = _golden_min(
+            lambda x: worst(_ratio_times(scen, t1_c, end, column(x), spec)),
+            u_lo, u_hi, cfg.u_resolution, cfg.coarse_grid)
+        if not val_u < best - 1e-15:
+            break               # the t1 search after it would repeat the last one
+        u_c, best = u_new, val_u
     return StrategyDecision(t1_c, u_c)
 
 
@@ -399,7 +397,7 @@ def adaptive_strategy(P0: ParamBox, p_true: PlantParams, spec: ProcessSpec,
         if t_edge <= t_now + 0.5 * dt:
             break
         if t_edge > spec.t_max:
-            raise SimulationTimeout("t1 window edge beyond t_max")
+            raise SimulationTimeout(f"t1 window edge not reached by t_max={spec.t_max} h")
         y = run_concentrate(t_now, t_edge, y)
         t_now = t_edge
         old = windows.t1
@@ -431,9 +429,7 @@ def adaptive_strategy(P0: ParamBox, p_true: PlantParams, spec: ProcessSpec,
             t_ev, x_ev, v_ev = (float(a) for a in arc.ratio_event(ln_rf))
             block = _BLOCK0
         if t_now >= spec.t_max:
-            return BatchResult("adaptive", p_true, t1_commit, math.nan, math.nan,
-                               feasible=False, regret=math.nan, reopt_count=reopts,
-                               timed_out=True, box_history=boxes)
+            raise SimulationTimeout(f"ratio target not reached by t_max={spec.t_max} h")
         ks = np.arange(k_next, k_next + block)
         ts = ks * dt
         filled = int(np.searchsorted(ts, t_ev))     # samples before the event

@@ -58,24 +58,6 @@ def _parse_result_row(vals: list[str]) -> dict:
     return row
 
 
-def results_to_rows(results) -> list[dict]:
-    """In-memory results as summary-ready dict rows (batch ids inferred)."""
-    if not results:
-        return []
-    strategies = []
-    for r in results:
-        if r.strategy in strategies:
-            break
-        strategies.append(r.strategy)
-    per = len(strategies)
-    rows = []
-    for j, r in enumerate(results):
-        rows.append({"batch_id": j // per, "strategy": r.strategy,
-                     "tf": r.tf, "regret": r.regret, "feasible": r.feasible,
-                     "reopt_count": r.reopt_count})
-    return rows
-
-
 # --- statistics ------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -141,27 +123,26 @@ def _tukey(strategy: str, metric: str, values: np.ndarray, n_failed: int) -> Met
                        whisk_lo, whisk_hi, n_out, float(values.min()), float(values.max()))
 
 
+def _field(row, key: str):
+    """A results-CSV dict row's value, or a strategies.BatchResult's field."""
+    return row[key] if isinstance(row, dict) else getattr(row, key)
+
+
 def summarize(rows) -> SummaryStats:
     """Per-strategy Tukey statistics of batch time and regret.
 
-    Accepts result dict-rows (from CSV or results_to_rows) or lists of
-    strategies.BatchResult.  Failed batches (NaN times) are excluded from the
-    quantiles and counted separately; a strategy whose batches all failed gets
-    n = 0 and NaN statistics.  No rows at all is a ConfigError.
+    Accepts result dict-rows (read_results_csv) or strategies.BatchResults.
+    Failed batches (NaN times) are excluded from the quantiles and counted
+    separately; a strategy whose batches all failed gets n = 0 and NaN
+    statistics.  No rows at all is a ConfigError.
     """
     if not rows:
         raise ConfigError("no results to summarize")
-    if not isinstance(rows[0], dict):
-        rows = results_to_rows(rows)
     stats: list[MetricStats] = []
-    strategies = []
-    for row in rows:
-        if row["strategy"] not in strategies:
-            strategies.append(row["strategy"])
-    for strat in strategies:
+    for strat in dict.fromkeys(_field(row, "strategy") for row in rows):
         for metric in ("tf", "regret"):
-            vals = np.array([row[metric] for row in rows if row["strategy"] == strat])
+            vals = np.array([_field(row, metric) for row in rows
+                             if _field(row, "strategy") == strat])
             good = vals[np.isfinite(vals)]
-            n_failed = int(vals.size - good.size)
-            stats.append(_tukey(strat, metric, good, n_failed))
+            stats.append(_tukey(strat, metric, good, int(vals.size - good.size)))
     return SummaryStats(tuple(stats))

@@ -20,7 +20,6 @@ from dfrto.reach import project_switch_windows, project_u_band
 from dfrto.setmem import OnlineBoxEstimator, ParamBox
 from dfrto.strategies import (NoiseStream, adaptive_strategy, nominal_decision,
                               robust_decision)
-from dfrto.summary import results_to_rows
 from dfrto.cli import main as cli_main
 from oracles import draw_truth, grid_feasible_box, rk4_event_time
 
@@ -42,7 +41,7 @@ def sweep1(spec):
     t0 = time.perf_counter()
     cfg = ExperimentConfig(case="limiting_flux", n_batches=1000, master_seed=20240801)
     res = monte_carlo(cfg, spec)
-    return results_to_rows(res), time.perf_counter() - t0
+    return res, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
@@ -50,11 +49,11 @@ def sweep2(spec):
     t0 = time.perf_counter()
     cfg = ExperimentConfig(case="generalized", n_batches=1000, master_seed=20240801)
     res = monte_carlo(cfg, spec)
-    return results_to_rows(res), time.perf_counter() - t0
+    return res, time.perf_counter() - t0
 
 
-def _col(rows, strategy, key):
-    return np.array([r[key] for r in rows if r["strategy"] == strategy])
+def _col(results, strategy, key):
+    return np.array([getattr(r, key) for r in results if r.strategy == strategy])
 
 
 # -- criterion 1: nominal switching times ----------------------------------------

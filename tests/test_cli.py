@@ -264,13 +264,37 @@ def test_empty_strategies_is_config_error(capsys):
     assert "no strategies" in capsys.readouterr().err
 
 
-def test_timeout_exit_code(tmp_path):
+def test_timeout_exit_code(tmp_path, capsys):
+    """A batch takes ~8 h, so a 3 h cap forces a timeout; the message names
+    the stop that t_max cut off, not the plant."""
     cfg = tmp_path / "spec.json"
     cfg.write_text(json.dumps({"t_max": 3.0}))
-    # the nominal batch takes ~8 h, so a 3 h cap forces a timeout
-    rc = run(["simulate", "--case", "limiting_flux", "--strategy", "nominal",
-              "--seed", "1", "--config", str(cfg)])
-    assert rc == 4
+    for strategy in ("nominal", "adaptive"):
+        rc = run(["simulate", "--case", "limiting_flux", "--strategy", strategy,
+                  "--seed", "1", "--config", str(cfg)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "not reached by t_max=3" in err and "over-concentrated" not in err
+
+
+def test_ratio_target_before_the_singular_surface_exits_2(tmp_path, capsys):
+    """A plant whose switch lies past the ratio target c1_f*c2_0/c2_f would
+    never reach the singular arc: a prior box holding one (a raised c2_f, or
+    a p2 lower bound of 0.01) is a configuration the model cannot run, named
+    before any floating-point warning."""
+    cfg = tmp_path / "spec.json"
+    cfg.write_text(json.dumps({"c2_f": 25}))
+    box = tmp_path / "box.json"
+    box.write_text(json.dumps({"lo": [18.0, 0.01, 0.0], "hi": [22.0, 3.3, 0.0]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["montecarlo", "--n", "1", "--config", str(cfg)]) == 2
+        assert run(["reach", "--config", str(cfg)]) == 2
+        assert run(["reach", "--box", str(box)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all("ratio target reached before the singular surface"
+                                 " for p=[" in line for line in err)
+    assert err[2].endswith("p=[18.0, 0.01, 0.0]")
 
 
 @pytest.mark.parametrize("content, message", [

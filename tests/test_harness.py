@@ -160,17 +160,45 @@ def test_batch_seed_truth_and_noise_come_from_one_seed_sequence():
 
 
 def test_summary_pure_function_of_csv(tmp_path):
+    """The statistics read from memory and from the written CSV agree, also
+    for failed rows: at t_max = 8.6 h four limiting_flux batches of seed 9
+    include failed ones (batch 1 fails in every strategy) and finished ones,
+    and both sources count the same n and n_failed."""
     out = tmp_path / "r.csv"
-    cfg = ExperimentConfig(case="limiting_flux", n_batches=2, master_seed=9,
-                           out_path=str(out))
-    res = monte_carlo(cfg)
-    from_mem = summarize(res)
-    from_csv = summarize(read_results_csv(str(out)))
-    for r_m, r_c in zip(from_mem.rows, from_csv.rows):
-        assert r_m.strategy == r_c.strategy and r_m.metric == r_c.metric
-        assert r_m.median == pytest.approx(r_c.median, rel=1e-9)
-        assert r_m.q25 == pytest.approx(r_c.q25, rel=1e-9)
-        assert r_m.whisker_hi == pytest.approx(r_c.whisker_hi, rel=1e-9)
+    partly_failed = 0
+    for n_batches, spec in ((2, ProcessSpec()), (4, ProcessSpec(t_max=8.6))):
+        cfg = ExperimentConfig(case="limiting_flux", n_batches=n_batches, master_seed=9,
+                               out_path=str(out))
+        res = monte_carlo(cfg, spec)
+        from_mem = summarize(res)
+        from_csv = summarize(read_results_csv(str(out)))
+        assert len(from_mem.rows) == len(from_csv.rows) == 8
+        for r_m, r_c in zip(from_mem.rows, from_csv.rows):
+            assert (r_m.strategy, r_m.metric, r_m.n, r_m.n_failed, r_m.n_outliers) \
+                == (r_c.strategy, r_c.metric, r_c.n, r_c.n_failed, r_c.n_outliers)
+            for f in ("median", "q25", "q75", "whisker_lo", "whisker_hi", "lo", "hi"):
+                assert getattr(r_m, f) == pytest.approx(getattr(r_c, f), rel=1e-9,
+                                                        nan_ok=True)
+            partly_failed += 0 < r_m.n_failed < n_batches
+    assert partly_failed > 0
+
+
+@pytest.mark.parametrize("case", ["limiting_flux", "generalized"])
+def test_failed_batches_read_one_row_shape(tmp_path, case):
+    """Every batch of a 3 h cap fails, in the first phase or the second: each
+    strategy's rows read NaN times, not feasible and no re-optimization, in
+    memory and in the CSV alike (run_batch alone records a failure)."""
+    out = tmp_path / "r.csv"
+    cfg = ExperimentConfig(case=case, n_batches=2, master_seed=5, out_path=str(out))
+    res = monte_carlo(cfg, ProcessSpec(t_max=3.0))
+    assert len(res) == 2 * len(harness.STRATEGIES)
+    for r in res:
+        assert math.isnan(r.t1) and math.isnan(r.t2) and math.isnan(r.tf)
+        assert math.isnan(r.regret)
+        assert (r.feasible, r.reopt_count, r.timed_out) == (False, 0, True)
+    for row in read_results_csv(str(out)):
+        assert all(math.isnan(row[k]) for k in ("t1", "t2", "tf", "regret"))
+        assert (row["feasible"], row["reopt_count"]) == (False, 0)
 
 
 def test_stats_csv_roundtrip(tmp_path):

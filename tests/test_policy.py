@@ -89,6 +89,24 @@ def test_unsupported_structure(spec):
         plan_vectorized(p.as_array(), spec)
 
 
+def test_ratio_target_before_the_switch_is_unsupported(p_nom1, p_nom2):
+    """At c2_f = 25 the ratio target c1_f*c2_0/c2_f = 300 g/L lies below the
+    limiting_flux switch concentration (368 g/L at the nominal plant), so its
+    plan would end before its own t1; both plan paths name the first such row
+    instead.  The generalized plant switches at 225 g/L and still plans."""
+    spec = ProcessSpec(c2_f=25.0)
+    with pytest.raises(UnsupportedStructureError,
+                       match=r"^ratio target reached before the singular surface"):
+        plan_vectorized(p_nom1.as_array(), spec)
+    P = np.array([p_nom2.as_array(), [20.7, 3.0, 0.0], p_nom1.as_array()])
+    with pytest.raises(UnsupportedStructureError, match=r"p=\[20\.7, 3\.0, 0\.0\]$"):
+        plan_vectorized(P, spec)
+    plan = plan_vectorized(p_nom2.as_array(), spec)
+    assert plan["c1_switch"] < 300.0 and plan["t1"] < plan["tf"]
+    with pytest.raises(UnsupportedStructureError, match=r"p=\[20\.72"):
+        plan_vectorized(P, ProcessSpec(c2_f=49.9))
+
+
 def test_evaluate_policy(p_nom1, spec):
     pi = plan_policy(p_nom1, spec)
     s = spec.initial_state()

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from dfrto import harness, setmem, strategies
 from dfrto.arc import Arc, integrate
 from dfrto.cases import get_case
+from dfrto.errors import SimulationTimeout
 from dfrto.harness import ExperimentConfig, _batch_draw, monte_carlo
 from dfrto.policy import plan_vectorized, singular_control
 from dfrto.process import (TOL_EVENT, PlantParams, PlantState, ProcessSpec,
                            StopCondition)
+from dfrto.reach import project_switch_windows
 from dfrto.setmem import OnlineBoxEstimator, ParamBox, scenario_points
 from dfrto.strategies import (NoiseStream, RobustConfig, StrategyDecision, adaptive_strategy,
                               nominal_decision, nominal_strategy,
@@ -183,6 +185,75 @@ def test_robust_deterministic(spec, case1):
     assert d1 == d2
 
 
+def _robust_decision_reference(P0, spec, scen, max_sweeps=4):
+    """robust_decision's search as it ran before it skipped repeated line
+    searches: both searches every sweep until a sweep improves neither.
+    Returns the decision, its number of u moves and whether the sweep cap
+    stopped it."""
+    windows = project_switch_windows(P0, spec)
+    nom = nominal_decision(P0, spec)
+    ref = np.minimum(plan_vectorized(scen, spec)["tf"], spec.t_max)
+
+    def worst(tf):
+        dev = np.minimum(tf, spec.t_max) - ref
+        return np.max(dev * dev, axis=-1)
+
+    def column(x):
+        return x if np.ndim(x) == 0 else np.reshape(x, (-1, 1))
+
+    (t1_lo, t1_hi), (u_lo, u_hi) = windows.t1, windows.u_band
+    t1_c = min(max(nom.t1_commit, t1_lo), t1_hi)
+    u_c = min(max(nom.u_s_commit, u_lo), u_hi)
+    best = worst(realized_batch_times(scen, t1_c, u_c, spec))
+    u_moves = 0
+    for _ in range(max_sweeps):
+        improved = False
+        t1_new, val_t = strategies._golden_min(
+            lambda x: worst(realized_batch_times(scen, column(x), u_c, spec)),
+            t1_lo, t1_hi, spec.dt_h, 33)
+        if val_t < best - 1e-15:
+            t1_c, best, improved = t1_new, val_t, True
+        if u_hi - u_lo > 1e-4:
+            end = _concentrate_end(scen, t1_c, spec)
+            u_new, val_u = strategies._golden_min(
+                lambda x: worst(_ratio_times(scen, t1_c, end, column(x), spec)),
+                u_lo, u_hi, 1e-4, 33)
+            if val_u < best - 1e-15:
+                u_c, best, improved, u_moves = u_new, val_u, True, u_moves + 1
+        if not improved:
+            break
+    return StrategyDecision(t1_c, u_c), u_moves, improved
+
+
+def test_robust_decision_skips_repeated_searches(spec, monkeypatch):
+    """A line search whose other coordinate has not moved since it last ran
+    cannot move the decision: at the defaults limiting_flux runs 1 search (u
+    is pinned at 1) and generalized 2, and on random scenario sets of 1-5
+    prior-box plants, some moving u over several sweeps and some stopped by
+    the sweep cap, the decisions keep every bit of the exhaustive loop."""
+    calls = []
+    golden = strategies._golden_min
+    monkeypatch.setattr(strategies, "_golden_min",
+                        lambda *a: calls.append(1) or golden(*a))
+    for name, want in (("limiting_flux", 1), ("generalized", 2)):
+        case = get_case(name)
+        calls.clear()
+        robust_decision(case.prior_box(spec), spec, scenarios=case.gamma_scenarios(spec))
+        assert len(calls) == want
+    monkeypatch.setattr(strategies, "_golden_min", golden)
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for name in ("limiting_flux", "generalized"):
+        P0 = get_case(name).prior_box(spec)
+        for _ in range(12):
+            scen = rng.uniform(P0.lo_arr(), P0.hi_arr(), (int(rng.integers(1, 6)), 3))
+            want, u_moves, capped = _robust_decision_reference(P0, spec, scen)
+            got = robust_decision(P0, spec, scenarios=scen)
+            assert (got.t1_commit, got.u_s_commit) == (want.t1_commit, want.u_s_commit)
+            seen |= {("no u move", "u move", "u moves")[min(u_moves, 2)], capped}
+    assert {"no u move", "u move", "u moves", True} <= seen
+
+
 # --- adaptive -----------------------------------------------------------------------
 
 def test_adaptive_noise_free_is_optimal(case1):
@@ -316,8 +387,8 @@ def test_adaptive_segments_follow_their_recorded_control(spec, case2):
 
 
 def test_corner_plants(spec, case1):
-    """Extreme prior-box corners stay honest: batches complete or report
-    infeasibility/timeouts; nothing crashes or silently mis-controls."""
+    """Extreme prior-box corners stay honest: batches complete, report
+    infeasibility or raise their timeout; nothing silently mis-controls."""
     P0 = case1.prior_box(spec)
     decision = nominal_decision(P0, spec)
     lo, hi = P0.lo_arr(), P0.hi_arr()
@@ -325,8 +396,8 @@ def test_corner_plants(spec, case1):
     stall_high = PlantParams(hi[0], lo[1], 0.0)
     res_a = adaptive_strategy(P0, stall_high, spec, _noise(2, spec))
     assert res_a.feasible and res_a.regret >= -2 * TOL_EVENT
-    res_n = nominal_strategy(stall_high, spec, decision)
-    assert res_n.feasible or res_n.timed_out
+    with pytest.raises(SimulationTimeout):      # c1 outruns the nominal t1 commit
+        nominal_strategy(stall_high, spec, decision)
     # ~261 g/L: the singular arc ends below c1_f, so the terminal state is
     # unreachable under this arc structure; the plan shows it and the
     # executed batch reports infeasibility instead of faking success
